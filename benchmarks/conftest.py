@@ -70,6 +70,15 @@ def run_once(benchmark, fn, *args, **kwargs):
 BENCH_REPEATS = 3
 #: Bound on every trajectory file; old entries age out.
 MAX_TRAJECTORY_ENTRIES = 200
+#: Where the benchmark trajectories are written: the git-ignored results
+#: tree, so running the suite never rewrites tracked files.  Nothing reads
+#: them back; they record each run for inspection.
+TRAJECTORY_DIR = os.path.join(os.path.dirname(_SRC), "results", "benchmarks")
+
+
+def trajectory_path(filename: str) -> str:
+    """Path of one trajectory file under :data:`TRAJECTORY_DIR`."""
+    return os.path.join(TRAJECTORY_DIR, filename)
 
 
 def timed_modes(modes, repeats: int = BENCH_REPEATS, *, estimator=None, warmup=True):
@@ -145,6 +154,7 @@ def append_trajectory(path: str, entry: dict, max_entries: int = MAX_TRAJECTORY_
         trajectory = []
     trajectory.append(entry)
     trajectory = trajectory[-max_entries:]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
         json.dump(trajectory, handle, indent=2)
         handle.write("\n")

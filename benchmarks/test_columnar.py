@@ -1,7 +1,7 @@
 """Benchmark: columnar trace generation speed, cache size, and fidelity.
 
 Three claims of the columnar trace format are measured and tracked in
-``benchmarks/BENCH_columnar.json``:
+``results/benchmarks/BENCH_columnar.json``:
 
 * **Generation speed** — every paper workload's vectorized
   ``generate_columnar`` against the object-form ``generate``, median of
@@ -33,7 +33,7 @@ import tracemalloc
 from datetime import datetime, timezone
 
 from conftest import BENCH_REPEATS as REPEATS
-from conftest import append_trajectory, median_time, run_once
+from conftest import append_trajectory, median_time, run_once, trajectory_path
 
 from repro.experiments import settings
 from repro.experiments.paper_workloads import PAPER_WORKLOAD_FACTORIES
@@ -42,9 +42,7 @@ from repro.sim.config import table1_config
 from repro.sim.simulator import simulate
 from repro.workloads import UpdateStyle
 
-TRAJECTORY_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_columnar.json"
-)
+TRAJECTORY_PATH = trajectory_path("BENCH_columnar.json")
 
 SMOKE_PROTOCOLS = ("MESI", "COUP", "RMO")
 

@@ -1,7 +1,7 @@
 """Benchmark: batched simulation kernel vs. the scalar columnar loop.
 
 Two measurements, both pinned bit-identical and recorded in
-``benchmarks/BENCH_kernel.json``:
+``results/benchmarks/BENCH_kernel.json``:
 
 * **Hit-run microbenchmark** — workloads that live in the kernel's regime
   (long private-hit runs: local commutative updates under COUP, read-only
@@ -33,7 +33,7 @@ import os
 import statistics
 from datetime import datetime, timezone
 
-from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once
+from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once, trajectory_path
 
 from repro.experiments import settings
 from repro.experiments.paper_workloads import PAPER_WORKLOAD_FACTORIES
@@ -46,9 +46,7 @@ from repro.workloads.synthetic import (
     SharedCounterWorkload,
 )
 
-TRAJECTORY_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_kernel.json"
-)
+TRAJECTORY_PATH = trajectory_path("BENCH_kernel.json")
 
 REPEATS = max(BENCH_REPEATS, 3)
 

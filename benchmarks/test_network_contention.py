@@ -15,15 +15,14 @@ optional epoch queueing model.  This benchmark guards the bargain:
 Timings use the **minimum** over repeats: both paths execute the same
 simulation, so min-of-N is the noise-robust estimator of their true cost
 (medians of near-identical runs swing more on shared CI machines).  The
-trajectory lands in ``benchmarks/BENCH_network.json``.
+trajectory lands in ``results/benchmarks/BENCH_network.json``.
 """
 
 from __future__ import annotations
 
-import os
 from datetime import datetime, timezone
 
-from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once
+from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once, trajectory_path
 
 from repro.experiments import settings
 from repro.experiments.paper_workloads import make_hist
@@ -31,7 +30,7 @@ from repro.sim.config import TopologyConfig, table1_config
 from repro.sim.simulator import MulticoreSimulator, make_protocol
 from repro.workloads import UpdateStyle
 
-TRAJECTORY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_network.json")
+TRAJECTORY_PATH = trajectory_path("BENCH_network.json")
 
 #: Wall-clock repeats per mode; the minimum is recorded.
 REPEATS = max(BENCH_REPEATS, 5)

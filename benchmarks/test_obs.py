@@ -20,16 +20,15 @@ Timings use the minimum over interleaved repeats (the noise-robust
 estimator for near-identical code paths).  A 1% gate is meaningless when a
 mode finishes in a few hundred milliseconds, so grids below a wall-clock
 floor record the overhead without asserting on it.  The trajectory lands
-in ``benchmarks/BENCH_obs.json``.
+in ``results/benchmarks/BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from datetime import datetime, timezone
 
-from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once
+from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once, trajectory_path
 
 import repro.obs as obs
 from repro.obs import events as obs_events
@@ -39,7 +38,7 @@ from repro.sim.config import table1_config
 from repro.sim.simulator import simulate
 from repro.workloads import UpdateStyle
 
-TRAJECTORY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_obs.json")
+TRAJECTORY_PATH = trajectory_path("BENCH_obs.json")
 
 #: Wall-clock repeats per mode; the minimum is recorded.
 REPEATS = max(BENCH_REPEATS, 7)

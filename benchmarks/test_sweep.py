@@ -3,7 +3,7 @@
 The sweep engine materializes each workload trace once and shares it across
 protocols; this benchmark times an (MESI, COUP, RMO) sweep over the ``hist``
 benchmark both ways and records the wall-clock trajectory into
-``benchmarks/BENCH_sweep.json`` so the trace-reuse win is tracked across
+``results/benchmarks/BENCH_sweep.json`` so the trace-reuse win is tracked across
 revisions.  Each mode is timed over ``REPEATS`` repeats and the **median**
 is recorded — single-shot numbers on shared CI machines swing by tens of
 percent, which made the trajectory useless for spotting regressions.
@@ -13,11 +13,10 @@ never come at the cost of fidelity.
 
 from __future__ import annotations
 
-import os
 from datetime import datetime, timezone
 
 from conftest import BENCH_REPEATS as REPEATS
-from conftest import append_trajectory, median_time, run_once
+from conftest import append_trajectory, median_time, run_once, trajectory_path
 
 from repro.experiments import settings
 from repro.experiments.paper_workloads import make_hist
@@ -26,7 +25,7 @@ from repro.sim.simulator import compare_protocols
 from repro.workloads import UpdateStyle
 
 #: Trajectory file recording one entry per benchmark run.
-TRAJECTORY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_sweep.json")
+TRAJECTORY_PATH = trajectory_path("BENCH_sweep.json")
 
 PROTOCOLS = ("MESI", "COUP", "RMO")
 

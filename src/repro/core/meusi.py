@@ -21,7 +21,7 @@ cost the same as under MESI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,13 +29,28 @@ from repro.core.commutative import ALL_OPS, CommutativeOp, DeltaBuffer
 
 #: Op -> index in :data:`ALL_OPS`, for the batch-classification contract.
 _OP_INDEX = {op: index for index, op in enumerate(ALL_OPS)}
-from repro.core.mesi import MesiProtocol
-from repro.core.protocol import SHAPE_CONFLICT, SHAPE_FAST, SHAPE_OP_DEPENDENT, AccessOutcome
-from repro.core.states import LineMode, StableState
-from repro.interconnect.messages import LinkScope, MessageType
-from repro.sim.access import AccessType, MemoryAccess
+from repro.core.mesi import (
+    A_COMMUTATIVE,
+    A_LOAD,
+    A_REMOTE,
+    M_EXCLUSIVE,
+    M_READ_ONLY,
+    M_UNCACHED,
+    M_UPDATE_ONLY,
+    S_EXCLUSIVE,
+    S_INVALID,
+    S_MODIFIED,
+    S_SHARED,
+    MesiProtocol,
+)
+from repro.core.protocol import SHAPE_CONFLICT, SHAPE_FAST, SHAPE_OP_DEPENDENT
+from repro.core.states import StableState
+from repro.interconnect.messages import MessageType
+from repro.sim.access import MemoryAccess
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
+
+S_UPDATE = StableState.UPDATE
 
 
 class MeusiProtocol(MesiProtocol):
@@ -75,6 +90,11 @@ class MeusiProtocol(MesiProtocol):
         self.stat_local_updates = 0
         #: Update-only permission grants (GetU transactions).
         self.stat_update_grants = 0
+        self._m_getu = self._message(MessageType.GET_UPDATE)
+        self._m_grant = self._message(MessageType.GRANT_NO_DATA)
+        self._m_put_partial = self._message(MessageType.PUT_PARTIAL)
+        self._m_reduce_req = self._message(MessageType.REDUCE_REQUEST)
+        self._m_partial = self._message(MessageType.PARTIAL_UPDATE)
 
     # ----------------------------------------------------------- delta handling
 
@@ -137,15 +157,18 @@ class MeusiProtocol(MesiProtocol):
     # ------------------------------------------------------- eviction handling
 
     def _handle_private_eviction(self, core_id: int, line_addr: int) -> None:
-        state = self.core_state(core_id, line_addr)
-        if state is StableState.UPDATE:
+        if self.core_states[core_id].get(line_addr) is S_UPDATE:
             # Partial reduction: ship the delta to the chip's L3 reduction unit.
-            chip = self._chip(core_id)
-            self.interconnect.record_one(MessageType.PUT_PARTIAL, LinkScope.ON_CHIP)
+            chip = self._chip_of_core[core_id]
+            label, size = self._m_put_partial
+            traffic = self.interconnect.traffic
+            traffic.on_chip_bytes += size
+            traffic.messages_by_type[label] += 1
+            traffic.bytes_by_type[label] += size
             unit = self.reduction_unit_for_l3(chip, line_addr)
             unit.schedule(self.current_time, 1)
             self._commit_buffer(core_id, line_addr)
-            self._set_state(core_id, line_addr, StableState.INVALID)
+            self._set_state(core_id, line_addr, S_INVALID)
             self.directory.remove_sharer(line_addr, core_id)
             self.directory.drop_if_uncached(line_addr)
             self._l3_caches[chip].insert(line_addr)
@@ -155,37 +178,29 @@ class MeusiProtocol(MesiProtocol):
 
     # ---------------------------------------------------------- full reductions
 
-    def _full_reduction(
-        self,
-        requester: int,
-        line_addr: int,
-        breakdown: LatencyBreakdown,
-        *,
-        keep_requester: bool = False,
-    ) -> Tuple[int, float]:
+    def _full_reduction(self, requester: int, line_addr: int, now: float) -> float:
         """Reduce all update-only copies of a line into the shared cache.
 
-        Returns ``(n_partials, critical_path_latency)``.  The reduction is
-        hierarchical: each chip with updaters invalidates them and folds their
-        partial updates at its L3 bank's reduction unit; the home L4 bank then
-        folds the per-chip results.  The critical path is therefore the
-        slowest chip-local gather plus the cross-chip gather, mirroring the
+        Returns the critical-path latency.  The reduction is hierarchical:
+        each chip with updaters invalidates them and folds their partial
+        updates at its L3 bank's reduction unit; the home L4 bank then folds
+        the per-chip results.  The critical path is therefore the slowest
+        chip-local gather plus the cross-chip gather, mirroring the
         8 + 16 = 24 example of Sec. 3.2.
         """
         entry = self.directory.entry(line_addr)
-        updaters = set(entry.sharers)
-        if keep_requester:
-            updaters.discard(requester)
-        if not updaters and entry.mode is not LineMode.UPDATE_ONLY:
-            return 0, 0.0
-
-        requester_chip = self._chip(requester)
+        chip_of = self._chip_of_core
+        requester_chip = chip_of[requester]
         chips: Dict[int, List[int]] = {}
-        for core in sorted(updaters):
-            chips.setdefault(self._chip(core), []).append(core)
+        for core in sorted(entry.sharers):
+            chips.setdefault(chip_of[core], []).append(core)
 
+        traffic = self.interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        l_req, s_req = self._m_reduce_req
+        l_part, s_part = self._m_partial
         critical_path = 0.0
-        total_partials = 0
         # repro-lint: disable=D102(chips is keyed by ascending core id so view order is deterministic; the loop accumulates order-insensitive sums and maxima)
         for chip, cores in chips.items():
             # Invalidation fan-out within the chip plus local gather.
@@ -194,156 +209,246 @@ class MeusiProtocol(MesiProtocol):
                 + self._l2_latency
                 + self.PER_SHARER_INVAL_CYCLES * max(0, len(cores) - 1)
             )
-            unit = self.reduction_unit_for_l3(chip, line_addr)
-            timing = unit.schedule(self.current_time, len(cores))
+            timing = self.reduction_unit_for_l3(chip, line_addr).schedule(now, len(cores))
             local_latency += timing.latency
-            scope = LinkScope.OFF_CHIP if chip != requester_chip else LinkScope.ON_CHIP
+            # Reduce requests cross off-chip to remote chips; each updater
+            # returns its partial update to its own chip's L3.
+            if chip != requester_chip:
+                traffic.off_chip_bytes += s_req * len(cores)
+            else:
+                traffic.on_chip_bytes += s_req * len(cores)
+            traffic.on_chip_bytes += s_part * len(cores)
             for core in cores:
-                self.interconnect.record_one(MessageType.REDUCE_REQUEST, scope if chip != requester_chip else LinkScope.ON_CHIP)
-                self.interconnect.record_one(MessageType.PARTIAL_UPDATE, LinkScope.ON_CHIP)
+                mbt[l_req] += 1
+                bbt[l_req] += s_req
+                mbt[l_part] += 1
+                bbt[l_part] += s_part
                 self._commit_buffer(core, line_addr)
                 self.hierarchy.private_invalidate(core, line_addr)
-                self._set_state(core, line_addr, StableState.INVALID)
-                total_partials += 1
+                self._set_state(core, line_addr, S_INVALID)
             if chip != requester_chip:
                 # The chip's single aggregated partial update crosses off-chip
                 # to the home L4 bank's reduction unit.
-                self.interconnect.record_one(MessageType.PARTIAL_UPDATE, LinkScope.OFF_CHIP)
+                traffic.off_chip_bytes += s_part
+                mbt[l_part] += 1
+                bbt[l_part] += s_part
                 local_latency += self._l4_partial(
-                    chip, line_addr % self._n_l4_chips, line_addr, self.current_time
+                    chip, line_addr % self._n_l4_chips, line_addr, now
                 )
             critical_path = max(critical_path, local_latency)
 
         if len(chips) > 1 or (chips and requester_chip not in chips):
             # Cross-chip gather at the home L4 bank's reduction unit.
             l4_unit = self.reduction_unit_for_l4(line_addr)
-            timing = l4_unit.schedule(self.current_time, max(1, len(chips)))
+            timing = l4_unit.schedule(now, max(1, len(chips)))
             critical_path += timing.latency + self._l4_latency
 
-        breakdown.l4_invalidations += critical_path
-        self.directory.clear_all_sharers(line_addr)
         self.stat_full_reductions += 1
-        self.stat_invalidations += total_partials
-        return total_partials, critical_path
+        self.stat_invalidations += len(entry.sharers)
+        self.directory.clear_all_sharers(line_addr)
+        return critical_path
 
-    # --------------------------------------------------------- GetU transaction
+    # ------------------------------------------------------------- transactions
 
-    def _update_transaction(
-        self, core_id: int, line_addr: int, op: CommutativeOp, now: float
-    ) -> AccessOutcome:
-        """Obtain update-only (or exclusive, if unshared) permission."""
-        outcome = AccessOutcome()
-        breakdown = outcome.latency
-        breakdown.l1 += self._l1_latency
-        breakdown.l2 += self._l2_latency
-        chip = self._chip(core_id)
-        entry = self.directory.entry(line_addr)
-        self.interconnect.record_one(MessageType.GET_UPDATE, LinkScope.ON_CHIP)
+    def _update(
+        self,
+        core_id: int,
+        line_addr: int,
+        op: CommutativeOp,
+        now: float,
+        latency: LatencyBreakdown,
+    ) -> float:
+        """GetU: obtain update-only (or exclusive, if unshared) permission.
+
+        U1 grants M to an unshared line (the E-like optimisation of Fig. 6);
+        U2 lets an exclusive owner update its own copy; U3 downgrades another
+        exclusive owner to U so both become updaters; U4 invalidates the
+        readers; U5 joins the updaters of the same op; U6 — an update of a
+        different op — fully reduces the line first.  Charges the latency
+        components to ``latency`` and returns their total, like
+        :meth:`_demand`, whose structure this mirrors.
+        """
+        chip = self._chip_of_core[core_id]
+        entry = self._dir_entries.get(line_addr)
+        if entry is None:
+            entry = self.directory.entry(line_addr)
+        mode = entry.mode
+        traffic = self.interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        label, size = self._m_getu
+        traffic.on_chip_bytes += size
+        mbt[label] += 1
+        bbt[label] += size
         self.stat_update_grants += 1
+        touched = self.touched_cores
+        if mode is M_EXCLUSIVE and next(iter(entry.sharers)) == core_id:
+            # U2: our own copy absorbs commutative updates in M, in place.
+            if touched is not None:
+                touched.add((core_id, line_addr))
+            self.core_states[core_id][line_addr] = S_MODIFIED
+            latency.l1 += self._l1_latency
+            latency.l2 += self._l2_latency
+            return self._l12_latency
 
-        if entry.mode is LineMode.UNCACHED:
-            # Unshared: grant M directly (the E-like optimisation of Fig. 6).
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            self._serialize_at_home(line_addr, now, breakdown, self.LIGHT_OCCUPANCY, entry)
-            self.directory.grant_exclusive(line_addr, core_id)
-            self._set_state(core_id, line_addr, StableState.MODIFIED)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-            return outcome
-
-        if entry.mode is LineMode.EXCLUSIVE:
-            owner = entry.exclusive_owner()
-            if owner == core_id:
-                # Our own copy: commutative updates proceed in M locally.
-                self._set_state(core_id, line_addr, StableState.MODIFIED)
-                return outcome
-            # Downgrade the owner from M to U; both caches become updaters.
-            owner_chip = self._chip(owner)
-            scope = LinkScope.OFF_CHIP if owner_chip != chip else LinkScope.ON_CHIP
-            latency = self._l2_latency + 2 * self._onchip_hop
+        b3 = b4 = b5 = b6 = b7 = 0.0
+        if mode is M_EXCLUSIVE:
+            # U3: downgrade the owner M->U; both caches become updaters.  The
+            # owner's data is written back to the shared cache and it keeps
+            # an update-only copy initialised to the identity element.
+            owner = next(iter(entry.sharers))
+            owner_chip = self._chip_of_core[owner]
+            occupancy = self._l2_latency + 2 * self._onchip_hop
+            l_dg, s_dg = self._m_downgrade
+            l_wb, s_wb = self._m_wb
             if owner_chip != chip:
-                transfer = self._chip_rt(chip, owner_chip, self.current_time)
-                latency += transfer
-                breakdown.offchip_network += transfer
-                breakdown.l4 += self._l4_latency
-            breakdown.l4_invalidations += latency
-            self.interconnect.record_one(MessageType.DOWNGRADE, scope)
-            self.interconnect.record_one(MessageType.DATA_WRITEBACK, scope)
-            self._serialize_at_home(line_addr, now, breakdown, latency)
+                transfer = self._chip_rt(chip, owner_chip, now)
+                occupancy += transfer
+                b4 += transfer
+                b5 += self._l4_latency
+                traffic.off_chip_bytes += s_dg + s_wb
+            else:
+                traffic.on_chip_bytes += s_dg + s_wb
+            b6 += occupancy
+            mbt[l_dg] += 1
+            bbt[l_dg] += s_dg
+            mbt[l_wb] += 1
+            bbt[l_wb] += s_wb
             self.stat_downgrades += 1
-            # The owner's data is written back to the shared cache; the owner
-            # keeps an update-only copy initialised to the identity element.
             self._l3_caches[owner_chip].insert(line_addr)
-            self.directory.clear_all_sharers(line_addr)
-            self.directory.grant_update_only(line_addr, owner, op)
-            self.directory.grant_update_only(line_addr, core_id, op)
-            self._set_state(owner, line_addr, StableState.UPDATE)
-            self._set_state(core_id, line_addr, StableState.UPDATE)
+            entry.sharers = {owner}
+            if touched is not None:
+                touched.add((owner, line_addr))
+            self.core_states[owner][line_addr] = S_UPDATE
             self._buffer_for(owner, line_addr, op)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.GRANT_NO_DATA, LinkScope.ON_CHIP)
-            return outcome
-
-        if entry.mode is LineMode.READ_ONLY:
-            # Invalidate all read-only copies, then grant update-only.
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            count = self._invalidate_sharers(core_id, line_addr, set(entry.sharers), breakdown)
-            outcome.invalidations += count
-            occupancy = breakdown.l4_invalidations + self.LIGHT_OCCUPANCY
-            self._serialize_at_home(line_addr, now, breakdown, occupancy, entry)
-            self.directory.clear_all_sharers(line_addr)
-            self.directory.grant_update_only(line_addr, core_id, op)
-            self._set_state(core_id, line_addr, StableState.UPDATE)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.GRANT_NO_DATA, LinkScope.ON_CHIP)
-            return outcome
-
-        # entry.mode is UPDATE_ONLY
-        if entry.op is not op:
-            # Updates of different commutative types do not commute: perform a
-            # full reduction (type switch through the NN transient in Fig. 7b).
-            partials, latency = self._full_reduction(core_id, line_addr, breakdown)
-            outcome.invalidations += partials
-            outcome.full_reduction = True
-            self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
+        elif mode is M_UPDATE_ONLY and entry.op is not op:
+            # U6: updates of different types do not commute — fully reduce
+            # first (type switch through the NN transient in Fig. 7b).
+            b6 = self._full_reduction(core_id, line_addr, now)
+            occupancy = b6 + self.LIGHT_OCCUPANCY
         else:
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            self._serialize_at_home(line_addr, now, breakdown, self.LIGHT_OCCUPANCY, entry)
-        self.directory.grant_update_only(line_addr, core_id, op)
-        self._set_state(core_id, line_addr, StableState.UPDATE)
-        self._fill_private(core_id, line_addr)
-        self.interconnect.record_one(MessageType.GRANT_NO_DATA, LinkScope.ON_CHIP)
-        return outcome
+            # U1 (unshared) / U4 (readers) / U5 (same-op join) locate the
+            # data first; U4 invalidates the readers.
+            b3, b4, b5, b7 = self._ensure_shared_levels(chip, line_addr, now)
+            occupancy = self.LIGHT_OCCUPANCY
+            if mode is M_READ_ONLY:
+                b6 = self._invalidate_sharers(core_id, chip, line_addr, entry, now)
+                occupancy = b6 + self.LIGHT_OCCUPANCY
+                entry.sharers.clear()
+
+        # Queue behind any in-flight transaction for this line.
+        start = entry.busy_until
+        if now > start:
+            start = now
+        entry.busy_until = start + occupancy
+        b8 = start - now
+
+        if mode is M_UNCACHED:
+            # U1: unshared, grant M directly (the E-like optimisation).
+            entry.mode = M_EXCLUSIVE
+            entry.sharers = {core_id}
+            entry.op = None
+            new_state = S_MODIFIED
+            label, size = self._m_data
+        else:
+            entry.mode = M_UPDATE_ONLY
+            entry.sharers.add(core_id)
+            entry.op = op
+            new_state = S_UPDATE
+            label, size = self._m_grant
+        if touched is not None:
+            touched.add((core_id, line_addr))
+        self.core_states[core_id][line_addr] = new_state
+        victim = self.hierarchy.private_fill_victim(core_id, line_addr)
+        if victim is not None:
+            self._handle_private_eviction(core_id, victim)
+        traffic.on_chip_bytes += size
+        mbt[label] += 1
+        bbt[label] += size
+
+        latency.l1 += self._l1_latency
+        latency.l2 += self._l2_latency
+        latency.l3 += b3
+        latency.offchip_network += b4
+        latency.l4 += b5
+        latency.l4_invalidations += b6
+        latency.main_memory += b7
+        latency.serialization += b8
+        return self._l12_latency + b3 + b4 + b5 + b6 + b7 + b8
+
+    def _reduce_demand(
+        self, core_id: int, line_addr: int, is_load: bool, now: float, latency: LatencyBreakdown
+    ) -> float:
+        """Read or write request to a line currently in update-only mode.
+
+        Both fully reduce the line first; a read then joins it read-only, a
+        write takes it exclusively.  Charges and returns the latency like
+        :meth:`_demand`.
+        """
+        chip = self._chip_of_core[core_id]
+        traffic = self.interconnect.traffic
+        mbt = traffic.messages_by_type
+        bbt = traffic.bytes_by_type
+        label, size = self._m_gets if is_load else self._m_getx
+        traffic.on_chip_bytes += size
+        mbt[label] += 1
+        bbt[label] += size
+        b3, b4, b5, b7 = self._ensure_shared_levels(chip, line_addr, now)
+        b6 = self._full_reduction(core_id, line_addr, now)
+        entry = self.directory.entry(line_addr)
+        start = entry.busy_until
+        if now > start:
+            start = now
+        entry.busy_until = start + (b6 + self.LIGHT_OCCUPANCY)
+        b8 = start - now
+        # The reduction left the entry uncached with no sharers.
+        entry.mode = M_READ_ONLY if is_load else M_EXCLUSIVE
+        entry.sharers.add(core_id)
+        self._set_state(core_id, line_addr, S_SHARED if is_load else S_MODIFIED)
+        victim = self.hierarchy.private_fill_victim(core_id, line_addr)
+        if victim is not None:
+            self._handle_private_eviction(core_id, victim)
+        label, size = self._m_data
+        traffic.on_chip_bytes += size
+        mbt[label] += 1
+        bbt[label] += size
+
+        latency.l1 += self._l1_latency
+        latency.l2 += self._l2_latency
+        latency.l3 += b3
+        latency.offchip_network += b4
+        latency.l4 += b5
+        latency.l4_invalidations += b6
+        latency.main_memory += b7
+        latency.serialization += b8
+        return self._l12_latency + b3 + b4 + b5 + b6 + b7 + b8
 
     # ------------------------------------------------------------- main entry
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
+    def access_hot(
+        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
+    ):
         """MEUSI hot path: local commutative updates return just the hit level.
 
-        See :meth:`MesiProtocol.access_hot` for the return convention.  The
-        public :meth:`access` API (inherited from the base class) wraps the
-        integer form back into a full :class:`AccessOutcome`.
+        See :meth:`MesiProtocol.access_hot` for the return convention.
         """
         line_addr = access.address >> self._line_shift
+        states = self.core_states[core_id]
+        state = states.get(line_addr)
         access_type = access.access_type
-        if access_type is AccessType.REMOTE_UPDATE:
+        if access_type is A_COMMUTATIVE or access_type is A_REMOTE:
             # A COUP machine executes remote updates as commutative updates.
-            access_type = AccessType.COMMUTATIVE_UPDATE
-
-        if access_type is AccessType.COMMUTATIVE_UPDATE:
-            states = self.core_states[core_id]
-            state = states.get(line_addr)
             entry = self.directory.peek(line_addr)
             level = self._private_level(core_id, line_addr)
             if level and state is not None:
-                if state is StableState.MODIFIED or state is StableState.EXCLUSIVE:
+                if state is S_MODIFIED or state is S_EXCLUSIVE:
                     # Our own M/E copy can absorb any commutative update.
-                    states[line_addr] = StableState.MODIFIED
+                    states[line_addr] = S_MODIFIED
                     self._functional_update(access)
                     self.stat_local_updates += 1
                     return level
                 if (
-                    state is StableState.UPDATE
+                    state is S_UPDATE
                     and access.op is not None
                     and entry is not None
                     and entry.op is access.op
@@ -352,9 +457,13 @@ class MeusiProtocol(MesiProtocol):
                     self._apply_local_update(core_id, access)
                     self.stat_local_updates += 1
                     return level
-            return self.resolve_slow(core_id, access, line_addr, state, level, now)
+            return self.resolve_slow(core_id, access, line_addr, state, level, now, latency)
 
-        return self.resolve_slow(core_id, access, line_addr, None, None, now)
+        entry = self.directory.peek(line_addr)
+        if (entry is not None and entry.mode is M_UPDATE_ONLY) or state is S_UPDATE:
+            # Demands on update-only lines never hit: resolve them unprobed.
+            return self.resolve_slow(core_id, access, line_addr, state, None, now, latency)
+        return MesiProtocol.access_hot(self, core_id, access, now, latency)
 
     def resolve_slow(
         self,
@@ -364,104 +473,43 @@ class MeusiProtocol(MesiProtocol):
         state,
         level,
         now: float,
-    ) -> AccessOutcome:
+        latency: LatencyBreakdown,
+    ) -> float:
         access_type = access.access_type
-        if (
-            access_type is AccessType.COMMUTATIVE_UPDATE
-            or access_type is AccessType.REMOTE_UPDATE
-        ):
+        if access_type is A_COMMUTATIVE or access_type is A_REMOTE:
             if level is None:
                 self._private_level(core_id, line_addr)
             self.current_time = now
-            outcome = self._update_transaction(core_id, line_addr, access.op, now)
-            new_state = self.core_states[core_id].get(line_addr)
-            if new_state is StableState.EXCLUSIVE or new_state is StableState.MODIFIED:
+            total = self._update(core_id, line_addr, access.op, now, latency)
+            if self.core_states[core_id].get(line_addr) is S_MODIFIED:
                 self._functional_update(access)
             else:
                 self._apply_local_update(core_id, access)
-            return outcome
+            return total
 
+        self.current_time = now
         entry = self.directory.peek(line_addr)
-        if entry is not None and entry.mode is LineMode.UPDATE_ONLY:
-            self.current_time = now
-            return self._demand_on_update_mode_line(
-                core_id, access, access_type, line_addr, now
+        if entry is not None and entry.mode is M_UPDATE_ONLY:
+            # Reads and writes of update-only lines trigger a full reduction.
+            total = self._reduce_demand(
+                core_id, line_addr, access_type is A_LOAD, now, latency
             )
+            if access_type is not A_LOAD:
+                self._functional_write(access)
+            return total
 
         # A core's own U-state line cannot satisfy loads/stores; drop to I
-        # first so the base-class transaction logic treats it as a miss.
-        # This can only happen if the directory entry lost update mode,
-        # which the full-reduction path above prevents; keep as safety net.
-        if self.core_states[core_id].get(line_addr) is StableState.UPDATE:
-            self.current_time = now
+        # first so the MESI demand treats it as a miss.  This can only happen
+        # if the directory entry lost update mode, which the full-reduction
+        # path above prevents; kept as a safety net.
+        if self.core_states[core_id].get(line_addr) is S_UPDATE:
             self._commit_buffer(core_id, line_addr)
-            self._set_state(core_id, line_addr, StableState.INVALID)
+            self._set_state(core_id, line_addr, S_INVALID)
             self.directory.remove_sharer(line_addr, core_id)
-
-        if level is None:
-            # The private caches have not been probed yet (update-mode and
-            # safety-net cases above, or the compatibility path): run the
-            # full base-class resolution, which probes exactly once.
-            return MesiProtocol.access_hot(self, core_id, access, now)
-        return MesiProtocol.resolve_slow(self, core_id, access, line_addr, state, level, now)
-
-    def _demand_on_update_mode_line(
-        self,
-        core_id: int,
-        access: MemoryAccess,
-        access_type: AccessType,
-        line_addr: int,
-        now: float,
-    ) -> AccessOutcome:
-        """Read or write request to a line currently in update-only mode."""
-        if access_type is AccessType.LOAD:
-            # Reads of a line in update-only mode trigger a full reduction.
-            outcome = AccessOutcome()
-            breakdown = outcome.latency
-            breakdown.l1 += self._l1_latency
-            breakdown.l2 += self._l2_latency
-            self.interconnect.record_one(MessageType.GET_SHARED, LinkScope.ON_CHIP)
-            chip = self._chip(core_id)
-            self._ensure_shared_levels(chip, line_addr, breakdown)
-            partials, latency = self._full_reduction(core_id, line_addr, breakdown)
-            outcome.invalidations += partials
-            outcome.full_reduction = True
-            self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
-            self.directory.grant_shared(line_addr, core_id)
-            self._set_state(core_id, line_addr, StableState.SHARED)
-            self._fill_private(core_id, line_addr)
-            self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-            outcome.value = self._functional_load(access)
-            return outcome
-
-        # Writes need M: reduce first, then take exclusive ownership.
-        outcome = AccessOutcome()
-        breakdown = outcome.latency
-        breakdown.l1 += self._l1_latency
-        breakdown.l2 += self._l2_latency
-        self.interconnect.record_one(MessageType.GET_EXCLUSIVE, LinkScope.ON_CHIP)
-        chip = self._chip(core_id)
-        self._ensure_shared_levels(chip, line_addr, breakdown)
-        partials, latency = self._full_reduction(core_id, line_addr, breakdown)
-        outcome.invalidations += partials
-        outcome.full_reduction = True
-        self._serialize_at_home(line_addr, now, breakdown, latency + self.LIGHT_OCCUPANCY)
-        self.directory.clear_all_sharers(line_addr)
-        self.directory.grant_exclusive(line_addr, core_id)
-        self._set_state(core_id, line_addr, StableState.MODIFIED)
-        self._fill_private(core_id, line_addr)
-        self.interconnect.record_one(MessageType.DATA_RESPONSE, LinkScope.ON_CHIP)
-        if access_type is AccessType.STORE:
-            self._functional_store(access)
-        else:
-            self._functional_update(access)
-            outcome.value = self._functional_load(access)
-        return outcome
-
-    def _hit_value(self, access: MemoryAccess):
-        if access.access_type.is_commutative:
-            return None  # Commutative hits buffer a delta; nothing is returned.
-        return super()._hit_value(access)
+            state = None
+        return MesiProtocol.resolve_slow(
+            self, core_id, access, line_addr, state, level, now, latency
+        )
 
     # ---------------------------------------------------------------- finalize
 

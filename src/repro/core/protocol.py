@@ -3,9 +3,12 @@
 A protocol engine owns all coherence state for one simulation run: per-core
 private line states, directory entries, reduction units, and the functional
 memory image used to check results.  The simulator hands it one access at a
-time (in global-time order) and receives an :class:`AccessOutcome` describing
-the critical-path latency (broken down by level), the traffic generated, and
-the coherence actions taken.
+time (in global-time order); the engine charges the access's critical-path
+latency, broken down by level, to the issuing core's
+:class:`~repro.sim.stats.LatencyBreakdown` and returns the total, recording
+the traffic generated and the coherence actions taken along the way.  The
+public :meth:`CoherenceProtocol.access` API wraps one access in an
+:class:`AccessOutcome` for tests and interactive use.
 
 Protocol engines resolve each access atomically against *stable* states; the
 transient-state machinery needed for correctness on an unordered network is
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -25,8 +28,9 @@ from repro.core.commutative import CommutativeOp
 from repro.core.directory import Directory
 from repro.core.reduction import ReductionUnit
 from repro.hierarchy.system import CacheHierarchy
+from repro.interconnect.messages import MessageType
 from repro.interconnect.network import InterconnectModel
-from repro.sim.access import MemoryAccess
+from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
@@ -44,14 +48,18 @@ SHAPE_CONFLICT = 2
 
 @dataclass(slots=True)
 class AccessOutcome:
-    """Result of resolving one memory access against the protocol."""
+    """Result of resolving one memory access through :meth:`CoherenceProtocol.access`.
+
+    Only that public one-access API builds these; the simulator's per-access
+    paths charge latency in place and never allocate one.
+    """
 
     latency: LatencyBreakdown = field(default_factory=LatencyBreakdown)
     #: Value returned to the core (loads and atomics only; None otherwise).
     value: object = None
     #: Whether the access hit in the private hierarchy without protocol action.
     private_hit: bool = False
-    #: Number of sharers invalidated or downgraded on the critical path.
+    #: Number of caches invalidated or downgraded on the critical path.
     invalidations: int = 0
     #: Whether a full reduction was performed to satisfy this access.
     full_reduction: bool = False
@@ -231,23 +239,69 @@ class CoherenceProtocol(abc.ABC):
         reg.inc("protocol.full_reductions", self.stat_full_reductions)
         reg.inc("protocol.partial_reductions", self.stat_partial_reductions)
 
+    def _message(self, msg_type: MessageType) -> Tuple[str, int]:
+        """``(label, bytes)`` of one message type, for inline traffic counting.
+
+        Engines hoist one pair per message type at construction and count a
+        message by adding the size to the link scope's byte total and to the
+        per-label message/byte counters — what
+        :meth:`~repro.interconnect.network.InterconnectModel.record_one`
+        does, without the call and the enum lookups.
+        """
+        label = msg_type.label
+        return label, self.interconnect._size_of[label]
+
     # -- protocol interface ----------------------------------------------------
 
-    @abc.abstractmethod
     def access(self, core_id: int, access: MemoryAccess, now: float) -> AccessOutcome:
-        """Resolve one access issued by ``core_id`` at simulator time ``now``."""
+        """Resolve one access issued by ``core_id`` at simulator time ``now``.
 
-    def access_hot(self, core_id: int, access: MemoryAccess, now: float):
-        """Hot-path form of :meth:`access`.
+        The public one-access API: runs :meth:`access_hot` against a fresh
+        :class:`LatencyBreakdown` and describes the result as an
+        :class:`AccessOutcome`.  ``invalidations`` counts the caches the
+        access invalidated or downgraded (from the engine's aggregate
+        statistics) and ``value`` is the word's value after the access for
+        loads, and for atomics an engine executes as read-modify-writes.
+        """
+        latency = LatencyBreakdown()
+        invalidations = self.stat_invalidations
+        downgrades = self.stat_downgrades
+        reductions = self.stat_full_reductions
+        level = self.access_hot(core_id, access, now, latency)
+        private_hit = level.__class__ is int
+        if private_hit:
+            latency.l1 += self._l1_latency
+            if level == 2:
+                latency.l2 += self._l2_latency
+        access_type = access.access_type
+        returns_value = self.track_values and access_type is not AccessType.STORE and (
+            self.HOT_COMMUTATIVE == "atomic" or not access_type.is_commutative
+        )
+        return AccessOutcome(
+            latency=latency,
+            value=self.memory_image.get(access.address, 0) if returns_value else None,
+            private_hit=private_hit,
+            invalidations=max(
+                self.stat_invalidations - invalidations,
+                self.stat_downgrades - downgrades,
+            ),
+            full_reduction=self.stat_full_reductions > reductions,
+        )
+
+    @abc.abstractmethod
+    def access_hot(
+        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
+    ):
+        """Per-access entry point for engines without the inline fast path.
 
         Returns ``1`` (L1 private hit) or ``2`` (L2 private hit) when the
         access was satisfied entirely within the core's private hierarchy —
         all protocol state, functional values, and cache statistics already
-        updated — so the caller can charge the fixed private-hit latency
-        without any :class:`AccessOutcome` allocation.  Any access that needs
-        directory or transaction machinery returns the full outcome instead.
+        updated — leaving the caller to charge the fixed private-hit latency.
+        Any access that needs directory or transaction machinery is resolved
+        through :meth:`resolve_slow`, which charges ``latency`` and returns
+        the total as a float.
         """
-        return self.access(core_id, access, now)
 
     def resolve_slow(
         self,
@@ -257,7 +311,8 @@ class CoherenceProtocol(abc.ABC):
         state,
         level,
         now: float,
-    ) -> AccessOutcome:
+        latency: LatencyBreakdown,
+    ) -> float:
         """Resolve an access the simulator's inline fast path rejected.
 
         When :attr:`SUPPORTS_INLINE_FAST_PATH` is true, the timing simulator
@@ -270,6 +325,15 @@ class CoherenceProtocol(abc.ABC):
         caches — or ``None`` if it did not, in which case the probe must
         happen here so lookup statistics and LRU state advance exactly once
         per access.
+
+        Scalar-return contract: the engine sums the access's eight latency
+        components in locals, adds each once to ``latency`` (the issuing
+        core's accumulated :class:`LatencyBreakdown`) in field order —
+        ``l1``, ``l2``, ``l3``, ``offchip_network``, ``l4``,
+        ``l4_invalidations``, ``main_memory``, ``serialization`` — and
+        returns their total, summed in the same order, as a float.  Nothing
+        is allocated per access; the caller charges the total to the core's
+        clock and memory cycles.
         """
         raise NotImplementedError
 
@@ -385,11 +449,20 @@ class CoherenceProtocol(abc.ABC):
         hit) but with the overwhelmingly common L1 hit resolved without any
         intermediate calls.  Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
 
-        WARNING: this probe is intentionally hand-duplicated in THREE places
-        for speed — here, ``CacheHierarchy.private_lookup_level``, and the
-        inline block in ``MulticoreSimulator.run``.  Any change to probe
-        semantics must be applied to all three; the golden-equivalence suite
-        (tests/sim/test_golden_equivalence.py) catches divergence.
+        WARNING: this probe is intentionally hand-duplicated for speed.  The
+        copies are:
+
+        * here (also called by every engine's ``resolve_slow`` and by the
+          group-retirement merge for accesses nobody probed yet);
+        * ``CacheHierarchy.private_lookup_level``;
+        * the inline blocks in ``MulticoreSimulator.run`` and
+          ``MulticoreSimulator._run_columnar_scalar``;
+        * ``BatchedKernel._execute_one``;
+        * the hit probe in ``MesiProtocol.resolve_slow_batch``.
+
+        Any change to probe semantics must be applied to all of them; the
+        golden-equivalence suite (tests/sim/test_golden_equivalence.py)
+        catches divergence.
         """
         l1 = self._l1_caches[core_id]
         cache_set = l1._sets.get(line_addr % l1._num_sets)

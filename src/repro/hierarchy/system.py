@@ -74,10 +74,11 @@ class CacheHierarchy:
         the same lookups, statistics updates, and L1 refills as
         :meth:`private_lookup` but avoids allocating a result object.
 
-        WARNING: faster hand-inlined twins of this probe live in
-        ``CoherenceProtocol._private_level`` and the inline block in
-        ``MulticoreSimulator.run``; any semantic change here must be applied
-        to all three (the golden-equivalence suite catches divergence).
+        WARNING: faster hand-inlined twins of this probe live in the
+        simulator, the batched kernel and the protocol engines (listed in
+        ``CoherenceProtocol._private_level``'s docstring); any semantic
+        change here must be applied to all of them (the golden-equivalence
+        suite catches divergence).
 
         An L2 hit also fills the L1 (possibly evicting an L1 victim, which is
         harmless here because the L2 is inclusive of the L1).

@@ -1150,7 +1150,6 @@ class BatchedKernel:
         issue_time = core.clock + think
 
         hit_level = 0
-        result = None
         line_addr = address >> self._line_shift
         states = self._core_states[core_id]
         state = states.get(line_addr)
@@ -1227,8 +1226,8 @@ class BatchedKernel:
             obs_timing = self._obs_timing
             if obs_timing is not None:
                 _obs_t0 = obs_timing.clock()
-            result = self._resolve_slow(
-                core_id, access, line_addr, state, level, issue_time
+            latency = self._resolve_slow(
+                core_id, access, line_addr, state, level, issue_time, stats.latency
             )
             if obs_timing is not None:
                 obs_timing.observe("resolve_slow", obs_timing.clock() - _obs_t0)
@@ -1311,11 +1310,6 @@ class BatchedKernel:
                 latency_record.l2 += self._l2_latency
                 latency = self._l2_hit_total
             stats.l1_hits += 1
-        else:
-            latency = result.total_latency
-            stats.latency.add(result.latency)
-            if result.private_hit:
-                stats.l1_hits += 1
 
         stats.accesses += 1
         stats.compute_cycles += think + overhead

@@ -237,7 +237,6 @@ class MulticoreSimulator:
             issue_time = clock + think
 
             hit_level = 0
-            result = None
             if inline:
                 address = access.address
                 line_addr = address >> line_shift
@@ -253,9 +252,9 @@ class MulticoreSimulator:
                 ):
                     # Same side effects as CacheHierarchy.private_lookup_level
                     # and CoherenceProtocol._private_level — the probe is
-                    # intentionally hand-duplicated in those three places for
-                    # speed; change all three together (the golden-equivalence
-                    # suite catches divergence).
+                    # intentionally hand-duplicated for speed; change every
+                    # copy listed in _private_level's WARNING together (the
+                    # golden-equivalence suite catches divergence).
                     l1 = l1_caches[core_id]
                     cache_set = l1._sets.get(line_addr % l1._num_sets)
                     info = cache_set.get(line_addr) if cache_set is not None else None
@@ -305,19 +304,17 @@ class MulticoreSimulator:
                                 protocol.stat_local_updates += 1
                                 hit_level = level
                 if not hit_level:
-                    result = resolve_slow(
-                        core_id, access, line_addr, state, level, issue_time
+                    latency = resolve_slow(
+                        core_id, access, line_addr, state, level, issue_time, stats.latency
                     )
             else:
-                result = access_hot(core_id, access, issue_time)
-                if result.__class__ is int:
-                    hit_level = result
-                    result = None
+                latency = access_hot(core_id, access, issue_time, stats.latency)
+                if latency.__class__ is int:
+                    hit_level = latency
 
             if hit_level:
-                # Private hit: charge the fixed L1/L2 latency without having
-                # built an AccessOutcome.  The component adds mirror what
-                # LatencyBreakdown.add would have accumulated.
+                # Private hit: charge the fixed L1/L2 latency (the slow path
+                # charged its own components to stats.latency in place).
                 latency_record = stats.latency
                 latency_record.l1 += l1_latency
                 if hit_level == 1:
@@ -326,11 +323,6 @@ class MulticoreSimulator:
                     latency_record.l2 += l2_latency
                     latency = l2_hit_total
                 stats.l1_hits += 1
-            else:
-                latency = result.total_latency
-                stats.latency.add(result.latency)
-                if result.private_hit:
-                    stats.l1_hits += 1
 
             stats.accesses += 1
             stats.compute_cycles += think + overhead
@@ -573,7 +565,6 @@ class MulticoreSimulator:
             issue_time = clock + think
 
             hit_level = 0
-            result = None
             if inline:
                 line_addr = address >> line_shift
                 states = core_states[core_id]
@@ -652,8 +643,8 @@ class MulticoreSimulator:
                     access.value = values_pc[core_id][index]
                     access.think_instructions = int(gap)
                     access.size_bytes = code_size[code]
-                    result = resolve_slow(
-                        core_id, access, line_addr, state, level, issue_time
+                    latency = resolve_slow(
+                        core_id, access, line_addr, state, level, issue_time, stats.latency
                     )
             else:
                 access = new_access(MemoryAccess)
@@ -663,10 +654,9 @@ class MulticoreSimulator:
                 access.value = values_pc[core_id][index]
                 access.think_instructions = int(gap)
                 access.size_bytes = code_size[code]
-                result = access_hot(core_id, access, issue_time)
-                if result.__class__ is int:
-                    hit_level = result
-                    result = None
+                latency = access_hot(core_id, access, issue_time, stats.latency)
+                if latency.__class__ is int:
+                    hit_level = latency
 
             if hit_level:
                 latency_record = stats.latency
@@ -677,11 +667,6 @@ class MulticoreSimulator:
                     latency_record.l2 += l2_latency
                     latency = l2_hit_total
                 stats.l1_hits += 1
-            else:
-                latency = result.total_latency
-                stats.latency.add(result.latency)
-                if result.private_hit:
-                    stats.l1_hits += 1
 
             stats.accesses += 1
             stats.compute_cycles += think + overhead

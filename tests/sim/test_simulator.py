@@ -219,9 +219,9 @@ class TestCoreSelectionTieBreak:
         order = []
         original = engine.access_hot
 
-        def recording_access_hot(core_id, access, now):
+        def recording_access_hot(core_id, access, now, latency):
             order.append(core_id)
-            return original(core_id, access, now)
+            return original(core_id, access, now, latency)
 
         engine.access_hot = recording_access_hot
         MulticoreSimulator(config, engine).run(trace)
