@@ -179,7 +179,7 @@ class MesiProtocol(CoherenceProtocol):
         ``(l3, offchip_network, l4, main_memory)`` latency components.
         """
         l3 = self._l3_caches[chip]
-        if l3.lookup(line_addr) is not None:
+        if l3.lookup(line_addr):
             return self._l3_hit_levels
         # Off-chip to the home L4 chip (topology- and contention-aware).
         home_l4 = line_addr % self._n_l4_chips
@@ -196,7 +196,7 @@ class MesiProtocol(CoherenceProtocol):
         bbt[l_data] += s_data
         memory = 0.0
         l4 = self._l4_caches[home_l4]
-        if l4.lookup(line_addr) is None:
+        if not l4.lookup(line_addr):
             memory += self._memory.access(home_l4, now, self._line_bytes).latency
             l4.insert(line_addr)
         l3.insert(line_addr)
@@ -700,20 +700,16 @@ class MesiProtocol(CoherenceProtocol):
                 hit_level = 0
                 if state is not None and (True if is_comm else state is not UPD):
                     cache_set = l1_sets.get(line_addr % l1_nsets)
-                    info = cache_set.get(line_addr) if cache_set is not None else None
-                    if info is not None:
+                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                        cache_set[line_addr] = True
                         l1.hits += 1
-                        l1._tick = tick = l1._tick + 1
-                        info.last_use = tick
                         level = 1
                     else:
                         l1.misses += 1
                         cache_set = l2_sets.get(line_addr % l2_nsets)
-                        info = cache_set.get(line_addr) if cache_set is not None else None
-                        if info is not None:
+                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                            cache_set[line_addr] = True
                             l2.hits += 1
-                            l2._tick = tick = l2._tick + 1
-                            info.last_use = tick
                             l1.insert(line_addr)
                             slot_dirty[s] = True
                             level = 2

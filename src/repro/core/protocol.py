@@ -441,20 +441,18 @@ class CoherenceProtocol(abc.ABC):
         """
 
     def _private_level(self, core_id: int, line_addr: int) -> int:
-        """Private L1/L2 lookup with the L1 probe inlined (hot path).
+        """Private L1/L2 lookup with both probes inlined (hot path).
 
-        Behaviourally identical to
-        :meth:`repro.hierarchy.system.CacheHierarchy.private_lookup_level`
-        (same hit/miss counters, same LRU refresh, same L1 refill on an L2
-        hit) but with the overwhelmingly common L1 hit resolved without any
-        intermediate calls.  Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
+        Performs the same hit/miss counting and LRU refresh as
+        :meth:`SetAssociativeCache.lookup` on the L1 and then the L2, and
+        refills the L1 on an L2 hit, without any intermediate calls.
+        Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
 
         WARNING: this probe is intentionally hand-duplicated for speed.  The
         copies are:
 
         * here (also called by every engine's ``resolve_slow`` and by the
           group-retirement merge for accesses nobody probed yet);
-        * ``CacheHierarchy.private_lookup_level``;
         * the inline blocks in ``MulticoreSimulator.run`` and
           ``MulticoreSimulator._run_columnar_scalar``;
         * ``BatchedKernel._execute_one``;
@@ -466,20 +464,16 @@ class CoherenceProtocol(abc.ABC):
         """
         l1 = self._l1_caches[core_id]
         cache_set = l1._sets.get(line_addr % l1._num_sets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
+        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+            cache_set[line_addr] = True
             l1.hits += 1
-            l1._tick = tick = l1._tick + 1
-            info.last_use = tick
             return 1
         l1.misses += 1
         l2 = self._l2_caches[core_id]
         cache_set = l2._sets.get(line_addr % l2._num_sets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is not None:
+        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+            cache_set[line_addr] = True
             l2.hits += 1
-            l2._tick = tick = l2._tick + 1
-            info.last_use = tick
             l1.insert(line_addr)
             return 2
         l2.misses += 1

@@ -1,15 +1,12 @@
 """Cache hierarchy substrate: cache arrays, DRAM model, machine assembly."""
 
-from repro.hierarchy.cache import CacheLineInfo, SetAssociativeCache
+from repro.hierarchy.cache import SetAssociativeCache
 from repro.hierarchy.memory import MainMemoryModel, MemoryAccessTiming
-from repro.hierarchy.system import CacheHierarchy, EvictionNotice, PrivateLookupResult
+from repro.hierarchy.system import CacheHierarchy
 
 __all__ = [
     "CacheHierarchy",
-    "CacheLineInfo",
-    "EvictionNotice",
     "MainMemoryModel",
     "MemoryAccessTiming",
-    "PrivateLookupResult",
     "SetAssociativeCache",
 ]

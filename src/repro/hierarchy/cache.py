@@ -1,14 +1,15 @@
 """Set-associative cache arrays with LRU replacement.
 
-These arrays track only *presence* and per-line metadata; data values live in
-the protocol engines (which need them for functional checking of commutative
-reductions).  Both private caches (L1/L2) and shared banked caches (L3/L4)
-are built from :class:`SetAssociativeCache`.
+These arrays track only *presence*; data values live in the protocol engines
+(which need them for functional checking of commutative reductions).  Both
+private caches (L1/L2) and shared banked caches (L3/L4) are built from
+:class:`SetAssociativeCache`.
 
 The arrays sit on the simulator's per-access critical path, so they are
 written for speed: sets are materialised lazily (constructing a 32 MB L3
-allocates nothing until lines arrive), geometry is precomputed once, and the
-per-line records are slotted plain objects rather than dataclasses.
+allocates nothing until lines arrive), geometry is precomputed once, and each
+set is a plain dict kept in recency order — least recently used first — so
+neither a hit nor an eviction stamps, allocates or scans anything.
 """
 
 from __future__ import annotations
@@ -20,35 +21,14 @@ import numpy as np
 from repro.sim.config import CacheConfig
 
 
-class CacheLineInfo:
-    """Metadata attached to a resident cache line.
-
-    ``metadata`` is ``None`` until a caller attaches something, so the common
-    case (no metadata) allocates no dict.
-    """
-
-    __slots__ = ("line_addr", "metadata", "last_use")
-
-    def __init__(
-        self, line_addr: int, metadata: Optional[dict] = None, last_use: int = 0
-    ) -> None:
-        self.line_addr = line_addr
-        self.metadata = metadata
-        self.last_use = last_use
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheLineInfo(line_addr={self.line_addr:#x}, "
-            f"metadata={self.metadata}, last_use={self.last_use})"
-        )
-
-
 class SetAssociativeCache:
     """A set-associative cache array with true-LRU replacement.
 
-    The array maps line addresses to :class:`CacheLineInfo`.  Insertion may
-    evict the least-recently-used line in the set; the evicted line's info is
-    returned so callers can perform writebacks or partial reductions.
+    Each materialised set maps its resident line addresses to ``True`` in
+    recency order: a hit moves the line to the end of its set (pop and
+    re-insert), so the least-recently-used line is always the set's first
+    key.  Insertion into a full set evicts that line and returns its
+    address so callers can perform writebacks or partial reductions.
     """
 
     __slots__ = (
@@ -57,7 +37,6 @@ class SetAssociativeCache:
         "_sets",
         "_num_sets",
         "_ways",
-        "_tick",
         "hits",
         "misses",
         "evictions",
@@ -68,9 +47,8 @@ class SetAssociativeCache:
         self.name = name
         self._num_sets = config.num_sets
         self._ways = config.ways
-        #: Lazily materialised sets: set index -> {line_addr: CacheLineInfo}.
-        self._sets: Dict[int, Dict[int, CacheLineInfo]] = {}
-        self._tick = 0
+        #: Lazily materialised sets: set index -> {line_addr: True}, LRU first.
+        self._sets: Dict[int, Dict[int, bool]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -82,100 +60,68 @@ class SetAssociativeCache:
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets.values())
 
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr % self._num_sets
-
-    def _set_for(self, line_addr: int) -> Dict[int, CacheLineInfo]:
-        index = line_addr % self._num_sets
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        return cache_set
-
-    def lookup(self, line_addr: int, *, touch: bool = True) -> Optional[CacheLineInfo]:
-        """Return the line's info if resident; update LRU and hit statistics."""
+    def lookup(self, line_addr: int) -> bool:
+        """Return whether the line is resident; refresh LRU and count the probe."""
         cache_set = self._sets.get(line_addr % self._num_sets)
-        info = cache_set.get(line_addr) if cache_set is not None else None
-        if info is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if touch:
-            self._tick = tick = self._tick + 1
-            info.last_use = tick
-        return info
+        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+            cache_set[line_addr] = True
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
 
-    def peek(self, line_addr: int) -> Optional[CacheLineInfo]:
-        """Return the line's info without touching LRU or statistics."""
+    def peek(self, line_addr: int) -> bool:
+        """Return whether the line is resident, without touching LRU or statistics."""
         cache_set = self._sets.get(line_addr % self._num_sets)
-        return cache_set.get(line_addr) if cache_set is not None else None
+        return cache_set is not None and line_addr in cache_set
 
-    def probe_parts(self) -> Tuple[Dict[int, Dict[int, CacheLineInfo]], int]:
+    def probe_parts(self) -> Tuple[Dict[int, Dict[int, bool]], int]:
         """``(sets, num_sets)`` for hoisted inline probes (flattened engines).
 
         The retirement engines resolve millions of lookups per run, so they
-        hoist the set dictionary and modulus once and inline the two-step
-        probe (``sets.get(addr % num_sets)`` then ``.get(addr)``) instead of
-        paying a method call per access.  Contract for callers: a *hit*
-        must replay :meth:`lookup` exactly — increment :attr:`hits`,
-        advance the LRU clock (``_tick``), and stamp ``info.last_use`` —
-        and a *miss* must increment :attr:`misses`; otherwise LRU order and
-        hit statistics drift from the scalar path and bit-identity breaks.
-        The returned dictionary is live shared state, never a copy.
+        hoist the set dictionary and modulus once and inline the probe
+        instead of paying a method call per access.  Contract for callers:
+        a *hit* must replay :meth:`lookup` exactly — pop the line from its
+        set and re-insert it (``cache_set.pop(addr, None) is not None``,
+        then ``cache_set[addr] = True``) and increment :attr:`hits` — and a
+        *miss* only increments :attr:`misses`; otherwise LRU order and hit
+        statistics drift from the scalar path and bit-identity breaks.  The
+        returned dictionary is live shared state, never a copy.
         """
         return self._sets, self._num_sets
 
-    def insert(self, line_addr: int, metadata: Optional[dict] = None) -> Optional[CacheLineInfo]:
-        """Insert a line, returning the victim's info if an eviction occurred.
+    def insert(self, line_addr: int) -> Optional[int]:
+        """Insert a line as most recently used; return the evicted line, if any.
 
-        Inserting a line that is already resident refreshes its LRU position
-        and merges the provided metadata.
+        Inserting a line that is already resident only refreshes its LRU
+        position.
         """
-        cache_set = self._set_for(line_addr)
-        existing = cache_set.get(line_addr)
-        if existing is not None:
-            self._tick = tick = self._tick + 1
-            existing.last_use = tick
-            if metadata:
-                if existing.metadata is None:
-                    existing.metadata = dict(metadata)
-                else:
-                    existing.metadata.update(metadata)
+        index = line_addr % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            self._sets[index] = {line_addr: True}
             return None
-
-        victim: Optional[CacheLineInfo] = None
+        if cache_set.pop(line_addr, None) is not None:
+            cache_set[line_addr] = True
+            return None
+        victim: Optional[int] = None
         if len(cache_set) >= self._ways:
-            # True-LRU victim: first line with the smallest last_use (a plain
-            # loop; a min() with a key lambda costs a call per resident line).
-            victim_addr = -1
-            best_use = None
-            # repro-lint: disable=D102(LRU tie-break deliberately follows set insertion order; golden fingerprints pin this exact victim choice)
-            for addr, info in cache_set.items():
-                last_use = info.last_use
-                if best_use is None or last_use < best_use:
-                    best_use = last_use
-                    victim_addr = addr
-            victim = cache_set.pop(victim_addr)
+            victim = next(iter(cache_set))
+            del cache_set[victim]
             self.evictions += 1
-
-        self._tick = tick = self._tick + 1
-        cache_set[line_addr] = CacheLineInfo(
-            line_addr, dict(metadata) if metadata else None, tick
-        )
+        cache_set[line_addr] = True
         return victim
 
-    def invalidate(self, line_addr: int) -> Optional[CacheLineInfo]:
-        """Remove a line (coherence invalidation); return its info if present."""
+    def invalidate(self, line_addr: int) -> bool:
+        """Remove a line (coherence invalidation); return whether it was resident."""
         cache_set = self._sets.get(line_addr % self._num_sets)
-        if cache_set is None:
-            return None
-        return cache_set.pop(line_addr, None)
+        return cache_set is not None and cache_set.pop(line_addr, None) is not None
 
-    def resident_lines(self) -> Iterator[CacheLineInfo]:
-        """Iterate over all resident lines (order unspecified)."""
+    def resident_lines(self) -> Iterator[int]:
+        """Iterate over all resident line addresses (order unspecified)."""
         # repro-lint: disable=D102(documented order-unspecified iterator; consumers aggregate order-insensitively)
         for cache_set in self._sets.values():
-            yield from cache_set.values()
+            yield from cache_set
 
     def occupancy(self) -> float:
         """Fraction of the cache's capacity currently occupied."""
@@ -229,8 +175,10 @@ class TagArray:
       entry's commutative op when the line can buffer same-type updates
       locally (:data:`UOP_NONE` otherwise).
 
-    The mirror tracks *membership and classification inputs only* — the
-    object cache remains authoritative for LRU order and statistics.  It is
+    The mirror tracks *membership and classification inputs only*.  It holds
+    no recency: LRU order lives solely in the key order of the object
+    cache's sets, which the kernel refreshes itself after every batched
+    hit-run, and hit statistics live in the object cache too.  The mirror is
     kept coherent lazily: the kernel rebuilds it from the object cache at
     slow-path boundaries (any protocol action that may move lines) and
     applies cheap incremental updates for the two hot mutations that happen
@@ -266,7 +214,7 @@ class TagArray:
         """Install a line, replacing ``victim_addr``'s way (or an empty one).
 
         Mirrors an L1 fill performed by the object cache: the caller learned
-        the victim (if any) from :meth:`SetAssociativeCache.insert`.  Returns
+        the victim's address (if any) from :meth:`SetAssociativeCache.insert`.  Returns
         False when no slot could be found — the mirror has drifted from the
         object cache and the caller must mark it stale for a rebuild.
         """

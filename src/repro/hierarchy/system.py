@@ -9,33 +9,12 @@ level-by-level latency of a given protocol action is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hierarchy.cache import SetAssociativeCache
 from repro.hierarchy.memory import MainMemoryModel
 from repro.interconnect.network import InterconnectModel
 from repro.sim.config import SystemConfig
-
-
-@dataclass(slots=True)
-class PrivateLookupResult:
-    """Where an access hit in the private hierarchy."""
-
-    level: Optional[str]  # "L1", "L2", or None for a private miss
-
-    @property
-    def is_hit(self) -> bool:
-        return self.level is not None
-
-
-@dataclass(slots=True)
-class EvictionNotice:
-    """A line displaced from a private cache by a capacity eviction."""
-
-    core_id: int
-    line_addr: int
-    from_level: str
 
 
 class CacheHierarchy:
@@ -66,39 +45,6 @@ class CacheHierarchy:
 
     # -- private caches -------------------------------------------------------
 
-    def private_lookup_level(self, core_id: int, line_addr: int) -> int:
-        """Check the core's L1 then L2; refresh LRU on a hit.
-
-        Returns 1 for an L1 hit, 2 for an L2 hit, 0 for a private miss.  This
-        is the hot-path form used by the protocol engines: it performs exactly
-        the same lookups, statistics updates, and L1 refills as
-        :meth:`private_lookup` but avoids allocating a result object.
-
-        WARNING: faster hand-inlined twins of this probe live in the
-        simulator, the batched kernel and the protocol engines (listed in
-        ``CoherenceProtocol._private_level``'s docstring); any semantic
-        change here must be applied to all of them (the golden-equivalence
-        suite catches divergence).
-
-        An L2 hit also fills the L1 (possibly evicting an L1 victim, which is
-        harmless here because the L2 is inclusive of the L1).
-        """
-        if self.l1[core_id].lookup(line_addr) is not None:
-            return 1
-        if self.l2[core_id].lookup(line_addr) is not None:
-            self.l1[core_id].insert(line_addr)
-            return 2
-        return 0
-
-    def private_lookup(self, core_id: int, line_addr: int) -> PrivateLookupResult:
-        """Allocating wrapper around :meth:`private_lookup_level`."""
-        level = self.private_lookup_level(core_id, line_addr)
-        if level == 1:
-            return PrivateLookupResult("L1")
-        if level == 2:
-            return PrivateLookupResult("L2")
-        return PrivateLookupResult(None)
-
     def private_fill_victim(self, core_id: int, line_addr: int) -> Optional[int]:
         """Install a line into the core's L1 and L2; return the L2 victim.
 
@@ -109,21 +55,12 @@ class CacheHierarchy:
         can be displaced per fill, so the victim is returned directly (or
         ``None``); this is the hot-path form used by the protocol engines.
         """
-        victim_addr: Optional[int] = None
-        l2_victim = self.l2[core_id].insert(line_addr)
-        if l2_victim is not None:
+        victim_addr = self.l2[core_id].insert(line_addr)
+        if victim_addr is not None:
             # Maintain inclusion: drop the victim from the L1 as well.
-            victim_addr = l2_victim.line_addr
             self.l1[core_id].invalidate(victim_addr)
         self.l1[core_id].insert(line_addr)
         return victim_addr
-
-    def private_fill(self, core_id: int, line_addr: int) -> List[EvictionNotice]:
-        """Allocating wrapper around :meth:`private_fill_victim`."""
-        victim_addr = self.private_fill_victim(core_id, line_addr)
-        if victim_addr is None:
-            return []
-        return [EvictionNotice(core_id=core_id, line_addr=victim_addr, from_level="L2")]
 
     def private_invalidate(self, core_id: int, line_addr: int) -> None:
         """Remove a line from the core's private caches (coherence action)."""
@@ -131,33 +68,7 @@ class CacheHierarchy:
         self.l2[core_id].invalidate(line_addr)
 
     def private_present(self, core_id: int, line_addr: int) -> bool:
-        return (
-            self.l2[core_id].peek(line_addr) is not None
-            or self.l1[core_id].peek(line_addr) is not None
-        )
-
-    # -- shared caches --------------------------------------------------------
-
-    def l3_chip_of_core(self, core_id: int) -> int:
-        return self.config.chip_of_core(core_id)
-
-    def l3_lookup(self, chip_id: int, line_addr: int) -> bool:
-        return self.l3[chip_id].lookup(line_addr) is not None
-
-    def l3_fill(self, chip_id: int, line_addr: int) -> Optional[int]:
-        """Install a line into a chip's L3; return the victim line if any."""
-        victim = self.l3[chip_id].insert(line_addr)
-        return victim.line_addr if victim is not None else None
-
-    def l4_chip_of_line(self, line_addr: int) -> int:
-        return self.config.l4_home_chip(line_addr)
-
-    def l4_lookup(self, l4_chip: int, line_addr: int) -> bool:
-        return self.l4[l4_chip].lookup(line_addr) is not None
-
-    def l4_fill(self, l4_chip: int, line_addr: int) -> Optional[int]:
-        victim = self.l4[l4_chip].insert(line_addr)
-        return victim.line_addr if victim is not None else None
+        return self.l2[core_id].peek(line_addr) or self.l1[core_id].peek(line_addr)
 
     # -- statistics -----------------------------------------------------------
 

@@ -19,9 +19,10 @@ the interpreter from that common case:
   exactly their touched line's occurrences — so classification cost
   amortizes over the window even when hit-runs are short.
 * A *hit-run* — a maximal hot prefix of the mask — is advanced with O(1)
-  Python work: clocks, compute/memory cycles, latency, per-type counters,
-  and LRU order are all computed with NumPy reductions over the run.  The
-  first non-hit drops into the same inline-probe / :meth:`resolve_slow`
+  Python work: clocks, compute/memory cycles, latency and per-type counters
+  are all computed with NumPy reductions over the run, and LRU order is
+  refreshed once per distinct line, in order of its last hit.  The first
+  non-hit drops into the same inline-probe / :meth:`resolve_slow`
   machinery the scalar loop uses.
 
 Bit-identity
@@ -950,30 +951,28 @@ class BatchedKernel:
         if self._comm_local and (comm_n or remote_n):
             self.protocol.stat_local_updates += comm_n + remote_n
 
-        # L1 statistics and LRU: every hit bumps the tick and refreshes the
-        # line; after the run each distinct line holds the tick of its last
-        # hit, which is what the scalar per-access refresh converges to.
+        # L1 statistics and LRU: every hit moves its line to the end of the
+        # set, so after the run the distinct lines sit in ascending order of
+        # their last hit, which is what the scalar per-access refresh
+        # converges to.
         l1 = self._l1_caches[core_id]
-        base_tick = l1._tick
         l1.hits += count
-        l1._tick = base_tick + count
         seg_lines = core.win_lines[low:high]
         line_sets = l1._sets
         num_sets = l1._num_sets
         if count <= 64:
-            # Short slice: replay the refreshes directly (the last assignment
-            # per line wins, exactly as the per-access loop converges).
-            tick = base_tick
+            # Short slice: replay the refreshes directly.
             for line_addr in seg_lines.tolist():
-                tick += 1
-                line_sets[line_addr % num_sets][line_addr].last_use = tick
+                cache_set = line_sets[line_addr % num_sets]
+                del cache_set[line_addr]
+                cache_set[line_addr] = True
         else:
             distinct, reverse_first = np.unique(seg_lines[::-1], return_index=True)
             last_offsets = (count - 1) - reverse_first
-            for line_addr, offset in zip(distinct.tolist(), last_offsets.tolist()):
-                line_sets[line_addr % num_sets][line_addr].last_use = (
-                    base_tick + offset + 1
-                )
+            for line_addr in distinct[np.argsort(last_offsets)].tolist():
+                cache_set = line_sets[line_addr % num_sets]
+                del cache_set[line_addr]
+                cache_set[line_addr] = True
 
         # Write permission upgrades: stores/atomics/folded updates against an
         # E copy leave the line in M (U-state buffering does not).
@@ -1043,7 +1042,6 @@ class BatchedKernel:
         lines_l = core.win_lines[low:high].tolist()
         states_l = core.win_states[low:high].tolist()
         l1 = self._l1_caches[core_id]
-        tick = l1._tick
         l1.hits += count
         line_sets = l1._sets
         num_sets = l1._num_sets
@@ -1060,8 +1058,9 @@ class BatchedKernel:
         for offset in range(count):
             kind = kinds_l[offset]
             line_addr = lines_l[offset]
-            tick += 1
-            line_sets[line_addr % num_sets][line_addr].last_use = tick
+            cache_set = line_sets[line_addr % num_sets]
+            del cache_set[line_addr]
+            cache_set[line_addr] = True
             if kind == 0:
                 stats.loads += 1
                 continue
@@ -1096,7 +1095,6 @@ class BatchedKernel:
                     if op is not None:
                         current = memory_image.get(address, op.identity)
                         memory_image[address] = op.apply(current, value)
-        l1._tick = tick
         if self._comm_local and comm_n:
             self.protocol.stat_local_updates += comm_n
         stats.compute_cycles += sum(core.win_t[low:high].tolist())
@@ -1163,26 +1161,19 @@ class BatchedKernel:
             # WARNING in CoherenceProtocol._private_level).
             l1 = self._l1_caches[core_id]
             cache_set = l1._sets.get(line_addr % l1._num_sets)
-            info = cache_set.get(line_addr) if cache_set is not None else None
-            if info is not None:
+            if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                cache_set[line_addr] = True
                 l1.hits += 1
-                l1._tick = tick = l1._tick + 1
-                info.last_use = tick
                 level = 1
             else:
                 l1.misses += 1
                 l2 = self._l2_caches[core_id]
                 cache_set = l2._sets.get(line_addr % l2._num_sets)
-                info = cache_set.get(line_addr) if cache_set is not None else None
-                if info is not None:
+                if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                    cache_set[line_addr] = True
                     l2.hits += 1
-                    l2._tick = tick = l2._tick + 1
-                    info.last_use = tick
-                    victim_info = l1.insert(line_addr)
+                    promoted_victim = l1.insert(line_addr)
                     promoted = True
-                    promoted_victim = (
-                        victim_info.line_addr if victim_info is not None else None
-                    )
                     level = 2
                 else:
                     l2.misses += 1

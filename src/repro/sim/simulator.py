@@ -250,28 +250,24 @@ class MulticoreSimulator:
                 if state is not None and (
                     (not comm_never) if is_comm else (state is not update_s)
                 ):
-                    # Same side effects as CacheHierarchy.private_lookup_level
-                    # and CoherenceProtocol._private_level — the probe is
-                    # intentionally hand-duplicated for speed; change every
-                    # copy listed in _private_level's WARNING together (the
-                    # golden-equivalence suite catches divergence).
+                    # Same side effects as CoherenceProtocol._private_level —
+                    # the probe is intentionally hand-duplicated for speed;
+                    # change every copy listed in _private_level's WARNING
+                    # together (the golden-equivalence suite catches
+                    # divergence).
                     l1 = l1_caches[core_id]
                     cache_set = l1._sets.get(line_addr % l1._num_sets)
-                    info = cache_set.get(line_addr) if cache_set is not None else None
-                    if info is not None:
+                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                        cache_set[line_addr] = True
                         l1.hits += 1
-                        l1._tick = tick = l1._tick + 1
-                        info.last_use = tick
                         level = 1
                     else:
                         l1.misses += 1
                         l2 = l2_caches[core_id]
                         cache_set = l2._sets.get(line_addr % l2._num_sets)
-                        info = cache_set.get(line_addr) if cache_set is not None else None
-                        if info is not None:
+                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                            cache_set[line_addr] = True
                             l2.hits += 1
-                            l2._tick = tick = l2._tick + 1
-                            info.last_use = tick
                             l1.insert(line_addr)
                             level = 2
                         else:
@@ -577,21 +573,17 @@ class MulticoreSimulator:
                     # loop (see the WARNING in CoherenceProtocol._private_level).
                     l1 = l1_caches[core_id]
                     cache_set = l1._sets.get(line_addr % l1._num_sets)
-                    info = cache_set.get(line_addr) if cache_set is not None else None
-                    if info is not None:
+                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                        cache_set[line_addr] = True
                         l1.hits += 1
-                        l1._tick = tick = l1._tick + 1
-                        info.last_use = tick
                         level = 1
                     else:
                         l1.misses += 1
                         l2 = l2_caches[core_id]
                         cache_set = l2._sets.get(line_addr % l2._num_sets)
-                        info = cache_set.get(line_addr) if cache_set is not None else None
-                        if info is not None:
+                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                            cache_set[line_addr] = True
                             l2.hits += 1
-                            l2._tick = tick = l2._tick + 1
-                            info.last_use = tick
                             l1.insert(line_addr)
                             level = 2
                         else:

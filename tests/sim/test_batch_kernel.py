@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.hierarchy.cache import (
@@ -21,6 +22,7 @@ from repro.hierarchy.cache import (
     TagArray,
     UOP_NONE,
 )
+from repro.sim.access import MemoryAccess, WorkloadTrace
 from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config
 from repro.sim.kernel import BatchedKernel, batch_size, kernel_mode
@@ -209,6 +211,61 @@ def test_env_knob_parsing(monkeypatch):
     assert batch_size() == 1
     monkeypatch.setenv("REPRO_BATCH_SIZE", "not-a-number")
     assert batch_size() > 1
+
+
+def _lru_refresh_trace(n_hits: int, l1_sets: int) -> WorkloadTrace:
+    """One core fills an L1 set, hits it ``n_hits`` times, then misses into it.
+
+    Four lines fill L1 set 0.  The hits visit them in a scrambled order
+    whose last occurrences run C, A, D, B, so the set's recency order after
+    the hit-run is neither fill order nor its reverse: the correct LRU
+    victim is C.  A fifth line then misses into the set, and C and B — the
+    would-be victims under the right and the reversed order — are touched
+    again, so the hit/miss counts and the final residency both depend on
+    which line the miss evicted.
+    """
+    a, b, c, d, e = (way * l1_sets for way in range(5))
+    tail = [c, a, d, b]
+    rng = np.random.default_rng(n_hits)
+    body = rng.permutation(np.resize([a, b, c, d], n_hits - len(tail))).tolist()
+    lines = [a, b, c, d] + body + tail + [e, c, b]
+    return WorkloadTrace(
+        name="lru-refresh",
+        per_core=[[MemoryAccess.load(line * 64, think=1) for line in lines]],
+    )
+
+
+@pytest.mark.parametrize("n_hits", [200, 40, 6])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_batched_hit_run_refreshes_lru_in_last_use_order(protocol, n_hits, monkeypatch):
+    """The kernel's bulk LRU refresh leaves the set in per-access order.
+
+    Golden fingerprints and bench pins do not reach this: their hit-runs
+    never decide an eviction inside a fully re-ordered set.  200 hits take
+    the long-slice branch of ``BatchedKernel._apply`` (the window is widened
+    so the whole run is one slice), 40 the short-slice replay, and 6
+    ``_apply_small``.
+    """
+    import repro.sim.kernel as kernel_module
+
+    monkeypatch.setattr(kernel_module, "MIN_WINDOW", 4096)
+    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+    base = small_test_config(1)
+    config = dataclasses.replace(
+        base, l1d=dataclasses.replace(base.l1d, ways=4)
+    )
+    trace = ColumnarTrace.from_workload(
+        _lru_refresh_trace(n_hits, config.l1d.num_sets)
+    )
+    outcomes = {}
+    for mode in ("scalar", "batch"):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
+        engine = make_protocol(protocol, config, track_values=True)
+        result = MulticoreSimulator(config, engine, track_values=True).run(trace)
+        l1 = engine.hierarchy.l1[0]
+        resident = sorted(line for line in range(5 * config.l1d.num_sets) if line in l1)
+        outcomes[mode] = (result.to_jsonable(), resident)
+    assert outcomes["batch"] == outcomes["scalar"]
 
 
 class TestTagArray:
