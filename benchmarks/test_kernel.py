@@ -16,8 +16,9 @@ Two measurements, both pinned bit-identical and recorded in
   speedup of ``auto`` over forced-scalar of at least ``MIN_GRID_GEOMEAN``,
   and (b) a per-point regression floor ``MIN_POINT_SPEEDUP``: on
   conflict-dense points where the merge's entry gate declines (cross-op
-  stretches, reduction triggers), ``auto`` bails out early and must track
-  the scalar loop.  Every point is always asserted bit-identical.
+  stretches, reduction triggers), ``auto`` bails out as soon as a probation
+  interval shows too few batched hits per slow event, and must track the
+  scalar loop.  Every point is always asserted bit-identical.
 
 Timings use min-of-N over interleaved rounds (the two modes execute the
 same simulation, so min is the noise-robust estimator of true cost).
@@ -71,7 +72,7 @@ MIN_POINT_SPEEDUP = 0.85
 MIN_GATED_POINT_SECONDS = 0.2
 
 #: Timing gates need enough simulated work to measure: the bail-out
-#: probation is a fixed few milliseconds per run, so on sub-second totals
+#: probation spends at least 16 kernel slow events per run, so on sub-second totals
 #: (tiny REPRO_SCALE smoke runs) the percentages are dominated by noise and
 #: fixed costs.  Below these floors the gates are recorded but not asserted.
 MIN_GATED_GRID_SECONDS = 2.0

@@ -18,7 +18,7 @@ Rules carry per-rule codes (``D1xx`` determinism, ``P2xx`` protocol
 contracts, ``H3xx`` hot-path hygiene, ``X1xx`` engine meta-findings).  A
 finding may be waived inline with an audited suppression comment::
 
-    expr  # repro-lint: disable=D103(documented kernel bail heuristic)
+    for key, value in table.items():  # repro-lint: disable=D102(entries are independent; visit order cannot matter)
 
 The reason is mandatory, unused suppressions are themselves findings
 (``X102``), and every suppression in the tree must be declared in the

@@ -67,17 +67,18 @@ The kernel handles engines that opt in via
 :attr:`CoherenceProtocol.SUPPORTS_BATCH_KERNEL`; everything else uses the
 scalar loop.  ``REPRO_SIM_KERNEL`` selects ``auto`` (default), ``batch``
 (always batch), or ``scalar`` (never batch).  In ``auto`` the kernel and the
-scalar loop alternate on identical state: the kernel measures itself per
-probation interval and bails out when a stretch of the workload is too
-slow-path-heavy to batch, and the scalar loop hands hot stretches (long
-global hit streaks) back — see ``MulticoreSimulator._run_columnar``.
+scalar loop alternate on identical state: per probation interval the kernel
+weighs the hits it batched against the slow events it paid for, and bails
+out when a stretch of the workload is too slow-path-heavy to batch; the
+scalar loop hands hot stretches (long global hit streaks) back — see
+``MulticoreSimulator._run_columnar``.  Both decisions read only simulation
+counters, never a host clock, so a trace takes the same path on every host.
 ``REPRO_BATCH_SIZE`` bounds the classification window.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -137,21 +138,36 @@ MIN_WINDOW = 64
 #: The guard trips well before that.
 _EXACT_CLOCK_LIMIT = float(1 << 44)
 
-#: Bail-out probation: every ``BAIL_INTERVAL`` slow accesses the kernel
-#: compares its measured wall-clock for the interval against a conservative
-#: estimate of what the scalar loop would have spent on the same work
-#: (``hits * BAIL_SCALAR_HIT_S + slow * BAIL_SCALAR_SLOW_S``).  Two
-#: consecutive intervals slower than the estimate (by ``BAIL_MARGIN``) hand
-#: the run off to the scalar loop.  Judging per interval — not cumulatively
-#: — lets workloads with a miss-heavy warm-up phase reach their hit-run
-#: regime instead of being condemned by their first thousand accesses; the
-#: scalar cost constants are deliberately rough (the decision margins are
-#: large: the kernel is either several times faster or clearly losing).
+#: Bail-out probation.  Dispatch is a pure function of the kernel's own work
+#: counters, so the same trace takes the same kernel/scalar path on every
+#: host.  Every ``BAIL_INTERVAL`` slow events the kernel weighs the hits it
+#: batched in the interval against the slow events it paid for.  The
+#: constants come from per-access costs measured once (16-core traces,
+#: ``REPRO_SLOW_BATCH=off``):
+#:
+#: * The scalar loop retires a private hit for ~1.5 µs; the kernel retires
+#:   one inside a vectorized hit-run for ~0.15 µs.  Each batched hit saves
+#:   ~1.35 µs.
+#: * A kernel slow event pays the scalar event's protocol work plus a walk
+#:   over every runnable core: each one's hit-run is cut at the event and
+#:   applied as a fragment, ~5-10 µs per fragment.  So the kernel's extra
+#:   cost per slow event grows with the runnable cores, ~6 µs each.
+#:
+#: Break-even is therefore ~6 / 1.35, rounded to ``BAIL_HITS_PER_CORE_EVENT``
+#: batched hits per slow event per runnable core.  An interval below it is a
+#: strike, the next interval is a short ``BAIL_PROBE`` one, and
+#: ``BAIL_STRIKES`` consecutive strikes hand the run to the scalar loop (in
+#: conflict-dense stretches a kernel slow event, with the reclassification
+#: it triggers, measured 30-100x a scalar one, so a losing stint must not
+#: linger for a full interval).  An interval with
+#: fewer batched hits than slow events bails at once: the kernel loses on
+#: every event and, on short traces, each wasted interval is a measurable
+#: fraction of the run.  Judging per interval, not cumulatively, lets a
+#: workload's miss-heavy warm-up reach its hit-run regime instead of being
+#: condemned by its first thousand accesses.
 BAIL_INTERVAL = 64
-BAIL_SCALAR_HIT_S = 1.2e-6
-BAIL_SCALAR_SLOW_S = 12e-6
-BAIL_MARGIN = 1.15
 BAIL_STRIKES = 2
+BAIL_HITS_PER_CORE_EVENT = 5
 
 #: The very first probation check of a stint fires after this many slow
 #: events instead of a full ``BAIL_INTERVAL``: a stint entering a
@@ -161,34 +177,6 @@ BAIL_STRIKES = 2
 #: call resets probation to the full interval, so healthy stints are never
 #: judged on the short window.
 BAIL_PROBE = 16
-
-#: The scalar-cost constants above were calibrated on one machine; a host
-#: whose interpreter is uniformly slower runs both loops slower, which would
-#: otherwise make the kernel look like it is losing and bail spuriously.
-#: A tiny dict/int workout — the scalar loop's op mix — measured once per
-#: process rescales the estimate to the host (clamped to a sane range).
-_CALIBRATION_NOMINAL_S = 0.009
-_calibration_factor: Optional[float] = None
-
-
-def _interpreter_speed_factor() -> float:
-    global _calibration_factor
-    if _calibration_factor is None:
-        # repro-lint: disable=D103(calibration for the bail heuristic; feeds only kernel-vs-scalar dispatch whose outcomes are bit-identical)
-        start = time.perf_counter()
-        scratch: dict = {}
-        x = 0
-        for i in range(50_000):
-            scratch[i & 1023] = x
-            x += scratch.get(i & 511, 0) & 7
-        # repro-lint: disable=D103(calibration for the bail heuristic; feeds only kernel-vs-scalar dispatch whose outcomes are bit-identical)
-        elapsed = time.perf_counter() - start
-        _calibration_factor = min(8.0, max(0.25, elapsed / _CALIBRATION_NOMINAL_S))
-    return _calibration_factor
-#: An interval this much over the scalar estimate bails without a second
-#: strike — the kernel is clearly losing, and on short traces every wasted
-#: interval is a measurable fraction of the run.
-BAIL_HARD_MARGIN = 2.5
 
 _VALID_MODES = ("auto", "batch", "scalar")
 
@@ -222,8 +210,8 @@ FLEET_MIN_PARKED = 2
 #: merge's inline probe.
 FLEET_STREAK_BASE = 64
 
-#: Upper bound on one merge call, so the kernel's bail heuristic keeps
-#: sampling wall-clock at a bounded period.
+#: Upper bound on one merge call, so the scheduler regains control (window
+#: reclassification, probation) at a bounded period.
 FLEET_MAX_RETIRE = 65536
 
 #: Slow events per participating slot a merge call must retire to count as
@@ -407,7 +395,6 @@ class BatchedKernel:
         "_bail_next",
         "_bail_hits_mark",
         "_bail_slow_mark",
-        "_bail_time_mark",
         "_bail_strikes",
         "_obs",
         "_obs_timing",
@@ -539,14 +526,12 @@ class BatchedKernel:
         self._touched: set = set()
         protocol.touched_cores = self._touched
 
-        # Bail-out accounting (per-interval wall-clock vs scalar estimate).
+        # Bail-out accounting (per-interval hits against slow events).
         self._slow_events = 0
         self._hits_batched = 0
         self._bail_next = BAIL_PROBE
         self._bail_hits_mark = 0
         self._bail_slow_mark = 0
-        # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-        self._bail_time_mark = time.perf_counter()
         self._bail_strikes = 0
 
         # Telemetry (repro.obs).  Both handles are None when REPRO_OBS=off;
@@ -1376,43 +1361,16 @@ class BatchedKernel:
                 and (not self._slow_batch or self._fleet_cooldown > 0)
             ):
                 # Probation is deferred while a group-retirement attempt is
-                # pending (cooldown expired): a productive merge vindicates
-                # the interval, and judging the stint before the entry gate
-                # has even ruled would bail exactly the runs the merge wins.
-                # A failed gate or unproductive merge sets a cooldown, so the
+                # pending (cooldown expired): a productive merge resets the
+                # interval, and judging the stint before the entry gate has
+                # even ruled would bail exactly the runs the merge wins.  A
+                # failed gate or unproductive merge sets a cooldown, so the
                 # check resumes on the next iteration for hostile stretches.
-                # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-                now = time.perf_counter()
-                interval_hits = self._hits_batched - self._bail_hits_mark
-                # Group retirement advances _slow_events by whole groups, so
-                # the interval can hold more than BAIL_INTERVAL slow events;
-                # estimate from the actual count or the comparison is unfair
-                # to the kernel exactly when it is winning the most.
-                interval_slow = self._slow_events - self._bail_slow_mark
-                scalar_estimate = _interpreter_speed_factor() * (
-                    interval_hits * BAIL_SCALAR_HIT_S
-                    + interval_slow * BAIL_SCALAR_SLOW_S
-                )
-                elapsed = now - self._bail_time_mark
-                if elapsed > scalar_estimate * BAIL_MARGIN:
-                    self._bail_strikes += 1
-                    if (
-                        self._bail_strikes >= BAIL_STRIKES
-                        or elapsed > scalar_estimate * BAIL_HARD_MARGIN
-                    ):
-                        if self._obs is not None:
-                            self._obs.inc(
-                                "kernel.bail.hard_margin"
-                                if elapsed > scalar_estimate * BAIL_HARD_MARGIN
-                                else "kernel.bail.strikes"
-                            )
-                        return self._handoff()
-                else:
-                    self._bail_strikes = 0
-                self._bail_hits_mark = self._hits_batched
-                self._bail_slow_mark = self._slow_events
-                self._bail_time_mark = now
-                self._bail_next = self._slow_events + BAIL_INTERVAL
+                reason = self._judge_interval(len(runnable))
+                if reason is not None:
+                    if self._obs is not None:
+                        self._obs.inc("kernel.bail." + reason)
+                    return self._handoff()
 
             for core in runnable:
                 if not core.class_valid:
@@ -1596,8 +1554,9 @@ class BatchedKernel:
         deltas_col = self.deltas_col
         touched = self._touched
         touched.clear()
-        # repro-lint: disable=D103(wall time only feeds the bail heuristic's kernel-vs-scalar dispatch; both paths are bit-identical)
-        fleet_start = time.perf_counter()
+        obs_timing = self._obs_timing
+        if obs_timing is not None:
+            _obs_t0 = obs_timing.clock()
         retired, n_slow, _n_parked = self._resolve_slow_batch(
             [core.core_id for core in slots],
             [codes_col[core.core_id] for core in slots],
@@ -1612,11 +1571,8 @@ class BatchedKernel:
             max(FLEET_STREAK_BASE, 4 * n_slots),
             FLEET_MAX_RETIRE,
         )
-        obs_timing = self._obs_timing
         if obs_timing is not None:
-            obs_timing.observe(
-                "resolve_slow_batch", obs_timing.clock() - fleet_start
-            )
+            obs_timing.observe("resolve_slow_batch", obs_timing.clock() - _obs_t0)
         if retired == 0:
             # Every slot parked (or sat beyond the bound) before mutating
             # anything: nothing moved, so fall back without any repair.
@@ -1684,29 +1640,44 @@ class BatchedKernel:
                 obs_reg.inc("kernel.merge.accept.unproductive")
                 obs_reg.inc("kernel.merge.retired", retired)
         else:
+            # A productive call is the kernel winning outright: judge only
+            # the boundary work around it, from a fresh full interval.
             self._fleet_backoff = FLEET_COOLDOWN
+            self._reset_probation(BAIL_INTERVAL)
             if obs_reg is not None:
                 obs_reg.inc("kernel.merge.accept.productive")
                 obs_reg.inc("kernel.merge.retired", retired)
 
-        # Bail fairness: the bail heuristic's per-interval scalar estimate
-        # was calibrated for the boundary path; a merge call can retire tens
-        # of thousands of accesses in one interval, so judge it directly.
-        # When the call measurably beat what the scalar loop would have
-        # spent on the same work, vindicate the interval marks so the bail
-        # comparison only ever judges the surrounding boundary work.
-        # repro-lint: disable=D103(wall time only feeds the bail heuristic's kernel-vs-scalar dispatch; both paths are bit-identical)
-        fleet_elapsed = time.perf_counter() - fleet_start
-        scalar_estimate = _interpreter_speed_factor() * (
-            (retired - n_slow) * BAIL_SCALAR_HIT_S + n_slow * BAIL_SCALAR_SLOW_S
-        )
-        if fleet_elapsed < scalar_estimate:
-            self._bail_hits_mark = self._hits_batched
-            self._bail_slow_mark = self._slow_events
-            # repro-lint: disable=D103(documented bail heuristic; wall time only decides kernel-vs-scalar dispatch, both paths are bit-identical)
-            self._bail_time_mark = time.perf_counter()
-            self._bail_next = self._slow_events + BAIL_INTERVAL
         return True
+
+    def _judge_interval(self, n_runnable: int) -> Optional[str]:
+        """Close a probation interval: the bail reason, or ``None`` to stay.
+
+        Group retirement advances ``_slow_events`` by whole groups, so an
+        interval can hold more than ``BAIL_INTERVAL`` slow events; the rule
+        compares rates, not counts.
+        """
+        interval_hits = self._hits_batched - self._bail_hits_mark
+        interval_slow = self._slow_events - self._bail_slow_mark
+        if interval_hits < interval_slow:
+            return "hard"
+        if interval_hits >= BAIL_HITS_PER_CORE_EVENT * n_runnable * interval_slow:
+            self._bail_strikes = 0
+            self._reset_probation(BAIL_INTERVAL)
+            return None
+        self._bail_strikes += 1
+        if self._bail_strikes >= BAIL_STRIKES:
+            return "strikes"
+        # A struck stint is re-judged on a short interval, so a losing one
+        # hands off after BAIL_PROBE more events, not BAIL_INTERVAL.
+        self._reset_probation(BAIL_PROBE)
+        return None
+
+    def _reset_probation(self, length: int) -> None:
+        """Start a fresh probation interval of ``length`` slow events."""
+        self._bail_hits_mark = self._hits_batched
+        self._bail_slow_mark = self._slow_events
+        self._bail_next = self._slow_events + length
 
     def _handoff(self) -> Tuple:
         """Package the current state so the scalar loop can resume exactly."""

@@ -337,9 +337,13 @@ class MulticoreSimulator:
         :meth:`CoherenceProtocol.resolve_slow` for protocol action.  The
         kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``)
         and ``REPRO_SIM_KERNEL`` allows it; in ``auto`` mode it bails out to
-        the scalar loop mid-run on workloads whose hit-runs are too short to
-        batch profitably.  All paths are bit-identical (golden suite plus
-        the batch-boundary grids in tests/sim/test_batch_kernel.py).
+        the scalar loop mid-run when it batches too few hits per slow event
+        (see the kernel's ``BAIL_*`` constants), and the scalar loop hands
+        back after :data:`REENTER_STREAK` consecutive private hits.  Both
+        rules count simulated work only, so the path a trace takes never
+        depends on the host (tests/sim/test_dispatch.py).  All paths are
+        bit-identical (golden suite plus the batch-boundary grids in
+        tests/sim/test_batch_kernel.py).
         """
         if workload.n_cores > self.config.n_cores:
             raise ValueError(

@@ -113,7 +113,7 @@ class TestProfileSummary:
     def test_top_phases_ranked_by_total_and_groups_stripped(self, tmp_path):
         fold = {
             "counters": {
-                "kernel.bail.hard_margin": 3,
+                "kernel.bail.hard": 3,
                 "kernel.bail.strikes": 7,
                 "kernel.merge.decline.few_parked": 12,
                 "kernel.slow_events": 100,
@@ -126,7 +126,7 @@ class TestProfileSummary:
         profile = events.profile_summary(fold, top_phases=1)
         assert [row["phase"] for row in profile["top_phases"]] == ["dear"]
         assert profile["top_phases"][0]["calls"] == 2
-        assert profile["bail_reasons"] == {"hard_margin": 3, "strikes": 7}
+        assert profile["bail_reasons"] == {"hard": 3, "strikes": 7}
         assert profile["merge_gate"] == {"decline.few_parked": 12}
 
     def test_empty_fold_degrades(self):

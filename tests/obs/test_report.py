@@ -17,7 +17,7 @@ def _write_stream(directory: str) -> None:
             "point_obs",
             {
                 "counters": {
-                    "kernel.bail.hard_margin": 2,
+                    "kernel.bail.hard": 2,
                     "kernel.merge.decline.cooldown": 9,
                     "kernel.merge.retired": 400,
                 },
@@ -54,7 +54,7 @@ class TestRender:
         assert "Merge-gate accept/decline Pareto" in text
         assert "decline.cooldown" in text
         assert "Bail-reason Pareto" in text
-        assert "hard_margin" in text
+        assert "hard" in text
         assert "Campaign points: 1 total, 1 ok, 0 cached" in text
         assert "Worker timeline" in text
         assert "dispatch" in text

@@ -30,6 +30,7 @@ from repro.sim.simulator import MulticoreSimulator, make_protocol, simulate
 from repro.workloads.base import UpdateStyle
 from repro.workloads.histogram import HistogramWorkload
 from repro.workloads.synthetic import (
+    InterleavedReadUpdateWorkload,
     MultiCounterWorkload,
     ScalarReductionWorkload,
     SharedCounterWorkload,
@@ -150,52 +151,114 @@ def test_non_dyadic_config_uses_fold_pipeline(monkeypatch):
     assert batched.to_jsonable() == reference.to_jsonable()
 
 
-def test_kernel_bails_to_scalar_and_results_match(monkeypatch):
-    """A hand-forced bail-out mid-run resumes the scalar loop exactly."""
-    trace = _columnar(WORKLOADS["hist"])
+@pytest.mark.parametrize(
+    "workload_name, protocol, slow_batch",
+    [("hist", "MESI", "off"), ("shared-counter-remote", "COUP", "auto")],
+)
+def test_kernel_bails_to_scalar_and_results_match(
+    workload_name, protocol, slow_batch, monkeypatch
+):
+    """A hand-forced bail-out mid-run resumes the scalar loop exactly.
+
+    With group retirement on, probation waits for the merge's entry gate, so
+    the bail lands after merged work rather than at the first check.
+    """
+    import repro.obs as obs
+    import repro.sim.kernel as kernel_module
+
+    trace = _columnar(WORKLOADS[workload_name])
     config = small_test_config(N_CORES)
     monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
-    reference = simulate(trace, config, "MESI", track_values=True)
+    reference = simulate(trace, config, protocol, track_values=True)
 
-    # Group retirement off: a productive merge call vindicates the bail
-    # interval (by design), which would defeat the hand-forced failure below;
-    # this test exercises the boundary path's handoff machinery.
-    monkeypatch.setenv("REPRO_SLOW_BATCH", "off")
-    engine = make_protocol("MESI", config, track_values=True)
+    monkeypatch.setenv("REPRO_SLOW_BATCH", slow_batch)
+    # Every probation interval strikes, and one strike bails.
+    monkeypatch.setattr(kernel_module, "BAIL_HITS_PER_CORE_EVENT", 10**9)
+    monkeypatch.setattr(kernel_module, "BAIL_STRIKES", 1)
+    engine = make_protocol(protocol, config, track_values=True)
     simulator = MulticoreSimulator(config, engine, track_values=True)
-    kernel = BatchedKernel(simulator, trace)
-    # Make the very first probation check fail unconditionally.
-    kernel._bail_next = 1
-    kernel._bail_time_mark = -1e9
-    kernel._bail_strikes = 10**9
-    handoff = kernel.run()
+    registry = obs.reconfigure("counters")
+    try:
+        kernel = BatchedKernel(simulator, trace)
+        kernel._bail_next = 1
+        handoff = kernel.run()
+        merged = registry.counter("kernel.merge.retired")
+    finally:
+        obs.reconfigure()
     assert handoff is not None, "kernel did not bail"
+    assert kernel._slow_batch == (slow_batch == "auto")
+    assert (merged > 0) == (slow_batch == "auto")
     result = simulator._run_columnar_scalar(trace, resume=handoff)
     assert result.to_jsonable() == reference.to_jsonable()
 
 
+def test_probation_judges_hits_per_runnable_core():
+    """The bail rule reads only the work counters and the runnable cores."""
+    import repro.sim.kernel as kernel_module
+
+    trace = _columnar(WORKLOADS["hist"])
+    config = small_test_config(N_CORES)
+    engine = make_protocol("MESI", config)
+    kernel = BatchedKernel(MulticoreSimulator(config, engine), trace)
+
+    def judge(hits, slow, runnable=N_CORES):
+        kernel._hits_batched += hits
+        kernel._slow_events += slow
+        return kernel._judge_interval(runnable)
+
+    slow = kernel_module.BAIL_INTERVAL
+    per_core = kernel_module.BAIL_HITS_PER_CORE_EVENT * slow
+    # Break-even scales with the runnable cores the scheduler walks.
+    assert judge(per_core * N_CORES, slow) is None
+    assert kernel._bail_next == kernel._slow_events + kernel_module.BAIL_INTERVAL
+    assert judge(per_core * N_CORES - 1, slow) is None  # first strike
+    assert kernel._bail_strikes == 1
+    # A struck stint is re-judged after a short probe.
+    assert kernel._bail_next == kernel._slow_events + kernel_module.BAIL_PROBE
+    assert judge(per_core * N_CORES, slow) is None  # a passing interval clears
+    assert kernel._bail_strikes == 0
+    assert judge(per_core * 2, slow, runnable=2) is None
+    assert judge(per_core * 2 - 1, slow, runnable=2) is None
+    assert judge(per_core * 2 - 1, slow, runnable=2) == "strikes"
+    # Fewer hits than slow events bails on the spot, strikes or not.
+    kernel._bail_strikes = 0
+    kernel._reset_probation(kernel_module.BAIL_INTERVAL)
+    assert judge(slow - 1, slow) == "hard"
+
+
 def test_scalar_reenters_kernel_on_hit_streak(monkeypatch):
     """The scalar loop hands hot stretches back to the kernel (and matches)."""
+    import repro.obs as obs
+    import repro.sim.kernel as kernel_module
     import repro.sim.simulator as sim_module
 
-    trace = SharedCounterWorkload(
-        updates_per_core=3000, update_style=UpdateStyle.COMMUTATIVE
+    # Runs of 200 buffered updates separated by reads that force reductions:
+    # the hit streaks re-enter the kernel, the reads make it bail again.
+    trace = InterleavedReadUpdateWorkload(
+        n_elements=16, updates_per_read=200, rounds=15
     ).generate_columnar(4)
     config = small_test_config(4)
     monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
     reference = simulate(trace, config, "COUP", track_values=True)
 
     # Shrink the streak threshold so re-entry definitely triggers, and make
-    # the kernel bail instantly so the run alternates several times.
+    # every probation interval strike so the run alternates several times.
     monkeypatch.setattr(sim_module, "REENTER_STREAK", 64)
     monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-    import repro.sim.kernel as kernel_module
-
-    monkeypatch.setattr(kernel_module, "BAIL_INTERVAL", 4)
-    monkeypatch.setattr(kernel_module, "BAIL_SCALAR_HIT_S", 0.0)
-    monkeypatch.setattr(kernel_module, "BAIL_SCALAR_SLOW_S", 0.0)
-    result = simulate(trace, config, "COUP", track_values=True)
+    monkeypatch.setattr(kernel_module, "BAIL_PROBE", 2)
+    monkeypatch.setattr(kernel_module, "BAIL_INTERVAL", 2)
+    monkeypatch.setattr(kernel_module, "BAIL_HITS_PER_CORE_EVENT", 10**9)
+    registry = obs.reconfigure("counters")
+    try:
+        result = simulate(trace, config, "COUP", track_values=True)
+        scalar_stints = registry.counter("sim.stint.scalar")
+        resumes = registry.counter("kernel.stint.resume")
+    finally:
+        obs.reconfigure()
     assert result.to_jsonable() == reference.to_jsonable()
+    # Stints alternate until the cap settles the run in the scalar loop.
+    assert resumes == sim_module.MAX_KERNEL_STINTS - 1
+    assert scalar_stints == sim_module.MAX_KERNEL_STINTS
 
 
 def test_env_knob_parsing(monkeypatch):
