@@ -139,41 +139,6 @@ def interleaved_best_times(modes, repeats: int = BENCH_REPEATS):
     return timed_modes(modes, repeats, estimator=min, warmup=True)
 
 
-def bytecode_count(fn):
-    """``(instructions, result)``: bytecode instructions executed by ``fn()``.
-
-    A host-independent cost measure for gating the overhead of one code path
-    against another that runs the same simulation.  Wall-clock cannot
-    resolve a 1% gate on a shared host (identical grid passes on a 2-vCPU
-    VM swing 0.47-0.82 s), while the instruction count of a deterministic
-    run is the same on every machine and under any load.  Work inside C (NumPy kernels,
-    dict internals) is not counted, so a gate on Python-level overhead only
-    gets stricter: the denominator shrinks, the added guard code does not.
-    Opcode tracing slows ``fn`` about 20x; simulation dispatch reads only
-    work counters, so the traced run takes the same path as an untraced one.
-    """
-    import sys
-
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        elif event == "call":
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        result = fn()
-    finally:
-        sys.settrace(previous)
-    return count, result
-
-
 def append_trajectory(path: str, entry: dict, max_entries: int = MAX_TRAJECTORY_ENTRIES) -> None:
     """Append one entry to a bounded JSON trajectory file."""
     import json

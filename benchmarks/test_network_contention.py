@@ -7,31 +7,22 @@ optional epoch queueing model.  This benchmark guards the bargain:
 * **disabled overhead** — a dancehall/no-contention run vs. the legacy
   constant path (reconstructed by rebinding the per-pair hooks to the old
   fixed round-trip constant).  Results must be bit-identical and the
-  overhead in executed bytecode instructions (``bytecode_count``) must stay
-  under 5%: wall-clock swings by more than that between identical runs on a
-  shared host, so it cannot resolve the gate.
+  wall-clock overhead must stay under 5%.
 * **enabled cost** — the same run with the epoch contention model charging
   surcharges, recorded (not gated) so the trajectory shows what turning the
   model on costs.
 
-Wall-clock timings use the **minimum** over interleaved repeats (both paths
-execute the same simulation, so min-of-N is the noise-robust estimator of
-their true cost) and are recorded, not asserted on.  The trajectory lands
-in ``results/benchmarks/BENCH_network.json``.
+Timings use the **minimum** over repeats: both paths execute the same
+simulation, so min-of-N is the noise-robust estimator of their true cost
+(medians of near-identical runs swing more on shared CI machines).  The
+trajectory lands in ``results/benchmarks/BENCH_network.json``.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
 
-from conftest import (
-    BENCH_REPEATS,
-    append_trajectory,
-    bytecode_count,
-    interleaved_best_times,
-    run_once,
-    trajectory_path,
-)
+from conftest import BENCH_REPEATS, append_trajectory, interleaved_best_times, run_once, trajectory_path
 
 from repro.experiments import settings
 from repro.experiments.paper_workloads import make_hist
@@ -44,8 +35,7 @@ TRAJECTORY_PATH = trajectory_path("BENCH_network.json")
 #: Wall-clock repeats per mode; the minimum is recorded.
 REPEATS = max(BENCH_REPEATS, 5)
 
-#: Gate on the disabled-path overhead vs. the legacy constant path, in
-#: executed bytecode instructions.
+#: Gate on the disabled-path overhead vs. the legacy constant path.
 MAX_DISABLED_OVERHEAD_PCT = 5.0
 
 
@@ -82,16 +72,11 @@ def test_network_contention_overhead(benchmark):
     disabled_s, disabled_times, disabled_result = timings["disabled"]
     enabled_s, enabled_times, enabled_result = timings["enabled"]
     run_once(benchmark, _simulate, trace, config)
-    legacy_instr, traced_legacy = bytecode_count(lambda: _simulate(trace, config, legacy=True))
-    disabled_instr, traced_disabled = bytecode_count(lambda: _simulate(trace, config))
 
     # The disabled subsystem must be invisible in the results.
     assert disabled_result == legacy_result
-    assert traced_legacy == legacy_result
-    assert traced_disabled == legacy_result
 
     overhead_disabled_pct = (disabled_s / legacy_s - 1.0) * 100.0
-    overhead_disabled_instr_pct = (disabled_instr / legacy_instr - 1.0) * 100.0
     overhead_enabled_pct = (enabled_s / legacy_s - 1.0) * 100.0
 
     entry = {
@@ -108,9 +93,6 @@ def test_network_contention_overhead(benchmark):
         "enabled_times_s": [round(t, 4) for t in enabled_times],
         "overhead_disabled_pct": round(overhead_disabled_pct, 2),
         "overhead_enabled_pct": round(overhead_enabled_pct, 2),
-        "legacy_instr": legacy_instr,
-        "disabled_instr": disabled_instr,
-        "overhead_disabled_instr_pct": round(overhead_disabled_instr_pct, 4),
         "contention_surcharge_cycles": (
             enabled_result.link_stats.surcharge_cycles
             if enabled_result.link_stats
@@ -124,7 +106,7 @@ def test_network_contention_overhead(benchmark):
     }
     append_trajectory(TRAJECTORY_PATH, entry)
 
-    assert overhead_disabled_instr_pct < MAX_DISABLED_OVERHEAD_PCT, (
-        f"disabled contention model costs {overhead_disabled_instr_pct:.4f}% of "
-        f"executed instructions (limit {MAX_DISABLED_OVERHEAD_PCT}%): {entry}"
+    assert overhead_disabled_pct < MAX_DISABLED_OVERHEAD_PCT, (
+        f"disabled contention model costs {overhead_disabled_pct:.2f}% "
+        f"(limit {MAX_DISABLED_OVERHEAD_PCT}%): {entry}"
     )

@@ -174,8 +174,8 @@ BAIL_HITS_PER_CORE_EVENT = 5
 #: conflict-dense stretch (group retirement's entry gate failing, every
 #: boundary access paying full mask-repair cost) should hand off after a
 #: handful of events, not sixty-four of them.  A productive group-retirement
-#: call resets probation to the full interval, so healthy stints are never
-#: judged on the short window.
+#: call resets probation to the full interval and clears any strike, so
+#: healthy stints are never judged on the short window.
 BAIL_PROBE = 16
 
 _VALID_MODES = ("auto", "batch", "scalar")
@@ -1640,9 +1640,11 @@ class BatchedKernel:
                 obs_reg.inc("kernel.merge.accept.unproductive")
                 obs_reg.inc("kernel.merge.retired", retired)
         else:
-            # A productive call is the kernel winning outright: judge only
-            # the boundary work around it, from a fresh full interval.
+            # A productive call is the kernel winning outright, like a
+            # passing interval: clear the strikes and judge only the
+            # boundary work around it, from a fresh full interval.
             self._fleet_backoff = FLEET_COOLDOWN
+            self._bail_strikes = 0
             self._reset_probation(BAIL_INTERVAL)
             if obs_reg is not None:
                 obs_reg.inc("kernel.merge.accept.productive")

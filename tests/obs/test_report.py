@@ -54,7 +54,8 @@ class TestRender:
         assert "Merge-gate accept/decline Pareto" in text
         assert "decline.cooldown" in text
         assert "Bail-reason Pareto" in text
-        assert "hard" in text
+        bail_section = text.split("Bail-reason Pareto\n")[1].split("\n\n")[0]
+        assert bail_section.split() == ["hard", "2", "100.0%", "(cum", "100.0%)"]
         assert "Campaign points: 1 total, 1 ok, 0 cached" in text
         assert "Worker timeline" in text
         assert "dispatch" in text
