@@ -18,10 +18,11 @@ Three claims of the columnar trace format are measured and tracked in
   object form's measured heap footprint, and the compressed ``.npz`` file
   against a pickled object trace (what a cache or worker hand-off would
   otherwise hold).  The target is >= 5x.
-* **Fidelity** — simulating the columnar form must produce bit-identical
-  results to the object form for every protocol on the smoke grid.  This
-  is a hard assertion: the benchmark *fails* on any divergence, which is
-  what the CI benchmark lane enforces.
+* **Fidelity** — the object builder's trace, packed (the simulator packs
+  an object-form trace on entry), must simulate bit-identically to the
+  columnar builder's trace for every protocol on the smoke grid.  This is
+  a hard assertion: the benchmark *fails* on any divergence, which is what
+  the CI benchmark lane enforces.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def test_columnar_generation_and_size(benchmark, tmp_path):
             "npz_bytes": npz_bytes,
         }
 
-    # Smoke-grid fidelity: columnar simulation == object simulation, every
-    # protocol.  A divergence here is a correctness bug, so it hard-fails.
+    # Smoke-grid fidelity: object builder (packed on entry) == columnar
+    # builder, every protocol.  A divergence here is a correctness bug, so
+    # it hard-fails.
     smoke_factory = PAPER_WORKLOAD_FACTORIES["hist"]
     smoke_object = smoke_factory(UpdateStyle.COMMUTATIVE).generate(n_cores)
     smoke_columnar = smoke_factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores)

@@ -68,7 +68,6 @@ class MesiProtocol(CoherenceProtocol):
     """Full-map directory MESI with the Table 1 four-level hierarchy."""
 
     name = "MESI"
-    SUPPORTS_INLINE_FAST_PATH = True
     #: The batched columnar kernel may classify chunks against this engine's
     #: tables (the generic ``CoherenceProtocol.hot_mask`` implements the MESI
     #: family's rules; MEUSI and RMO inherit both flag and mask).
@@ -505,7 +504,7 @@ class MesiProtocol(CoherenceProtocol):
         heap by construction — while amortizing the per-event interpreter
         cost (window re-extraction, classification, mirror repair, heap
         churn) over whole stretches of the merge.  Hits retire inline with
-        the same hand-duplicated probe as the scalar loops;
+        the same hand-duplicated probe as the scalar loop;
         independence-classified slow transactions retire through the very
         transaction methods :meth:`resolve_slow` calls (:meth:`_demand`, and
         MEUSI's ``_update``), so both paths mutate, count and charge alike.
@@ -695,7 +694,7 @@ class MesiProtocol(CoherenceProtocol):
                 issue = clock + think
 
                 # -- inline private probe (same hand-duplicated sequence as the
-                # scalar loops; see CoherenceProtocol._private_level's WARNING)
+                # scalar loop; see CoherenceProtocol._private_level's WARNING)
                 level = None
                 hit_level = 0
                 if state is not None and (True if is_comm else state is not UPD):

@@ -75,15 +75,11 @@ class CoherenceProtocol(abc.ABC):
     #: Human-readable protocol name used in results and experiment tables.
     name: str = "abstract"
 
-    #: Whether the timing simulator may resolve private hits against this
-    #: engine's tables inline (see :meth:`resolve_slow` for the contract).
-    SUPPORTS_INLINE_FAST_PATH: bool = False
-
     #: Whether the batched columnar kernel (:mod:`repro.sim.kernel`) may
     #: classify whole chunks of accesses against this engine's tables via
     #: :meth:`hot_mask` and advance hit-runs without per-access protocol
-    #: calls.  Requires :attr:`SUPPORTS_INLINE_FAST_PATH` (the kernel drops
-    #: into the same inline/`resolve_slow` machinery at run boundaries).
+    #: calls (the kernel drops into the scalar loop's inline probe and
+    #: :meth:`resolve_slow` at run boundaries).
     SUPPORTS_BATCH_KERNEL: bool = False
 
     #: How the hot path treats commutative/remote updates: ``"atomic"`` folds
@@ -292,7 +288,7 @@ class CoherenceProtocol(abc.ABC):
     def access_hot(
         self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
     ):
-        """Per-access entry point for engines without the inline fast path.
+        """One-access resolution behind :meth:`access` (the public API).
 
         Returns ``1`` (L1 private hit) or ``2`` (L2 private hit) when the
         access was satisfied entirely within the core's private hierarchy —
@@ -315,11 +311,10 @@ class CoherenceProtocol(abc.ABC):
     ) -> float:
         """Resolve an access the simulator's inline fast path rejected.
 
-        When :attr:`SUPPORTS_INLINE_FAST_PATH` is true, the timing simulator
-        replicates the private-hit rules against this engine's tables
-        (``core_states``, the private cache arrays, and for MEUSI the
-        directory's update-only entries) and only calls this method for
-        accesses that need transaction machinery.  ``state`` is the core's
+        The timing simulator replicates the private-hit rules against this
+        engine's tables (``core_states``, the private cache arrays, and for
+        MEUSI the directory's update-only entries) and only calls this
+        method for accesses that need transaction machinery.  ``state`` is the core's
         stable state for the line (``None`` if untracked) and ``level`` is
         the private-lookup result if the simulator already probed the
         caches — or ``None`` if it did not, in which case the probe must
@@ -453,8 +448,7 @@ class CoherenceProtocol(abc.ABC):
 
         * here (also called by every engine's ``resolve_slow`` and by the
           group-retirement merge for accesses nobody probed yet);
-        * the inline blocks in ``MulticoreSimulator.run`` and
-          ``MulticoreSimulator._run_columnar_scalar``;
+        * the inline block in ``MulticoreSimulator._run_columnar_scalar``;
         * ``BatchedKernel._execute_one``;
         * the hit probe in ``MesiProtocol.resolve_slow_batch``.
 

@@ -616,22 +616,19 @@ def run_parallel(
                 )
                 trace_handles[key] = None
                 return None
-            if isinstance(trace, sweep.ColumnarTrace):
-                try:
-                    shm_handle, segment = sweep.publish_trace_shm(trace, key)
-                    shm_segments.append(segment)
-                    trace_handles[key] = shm_handle
-                except (OSError, MemoryError, ValueError) as exc:
-                    # Publish failure (e.g. /dev/shm exhausted): degrade to
-                    # pickle transport — the trace rides the task payload.
-                    print(
-                        f"[runner] {point.key}: shm publish failed ({exc}); "
-                        "falling back to pickle transport",
-                        file=sys.stderr,
-                    )
-                    trace_handles[key] = trace
-            else:  # codec fallback: workers regenerate the object form
-                trace_handles[key] = None
+            try:
+                shm_handle, segment = sweep.publish_trace_shm(trace, key)
+                shm_segments.append(segment)
+                trace_handles[key] = shm_handle
+            except (OSError, MemoryError, ValueError) as exc:
+                # Publish failure (e.g. /dev/shm exhausted): degrade to
+                # pickle transport — the trace rides the task payload.
+                print(
+                    f"[runner] {point.key}: shm publish failed ({exc}); "
+                    "falling back to pickle transport",
+                    file=sys.stderr,
+                )
+                trace_handles[key] = trace
         return trace_handles[key]
 
     point_results: Dict[str, Dict[str, object]] = {e: {} for e in experiment_ids}

@@ -61,7 +61,6 @@ from repro.sim.access import WorkloadTrace
 from repro.sim.columnar import (
     ACCESS_DTYPE,
     ColumnarTrace,
-    TraceCodecError,
     as_columnar,
 )
 from repro.sim.config import SystemConfig
@@ -188,7 +187,7 @@ class TraceCache:
     (:class:`ColumnarTrace`, ~29 bytes per access vs ~100+ for objects, see
     :attr:`total_bytes`), which is why the default capacity is four times the
     old object-form bound.  A workload whose trace cannot be packed (exotic
-    operand values) transparently falls back to the object form.
+    operand values) raises :class:`~repro.sim.columnar.TraceCodecError`.
 
     With ``store_dir`` set, materialized traces are additionally persisted
     as ``<digest>.npz`` files and reloaded on a cold miss, so repeated or
@@ -201,13 +200,13 @@ class TraceCache:
             raise ValueError("max_traces must be positive")
         self.max_traces = max_traces
         self.store_dir = store_dir
-        self._traces: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._traces: "OrderedDict[Tuple, ColumnarTrace]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_loads = 0
         self.disk_stores = 0
 
-    def get(self, spec: WorkloadSpec, n_cores: int):
+    def get(self, spec: WorkloadSpec, n_cores: int) -> ColumnarTrace:
         key = spec.key(n_cores)
         trace = self._traces.get(key)
         if trace is not None:
@@ -219,14 +218,16 @@ class TraceCache:
         self.put(key, trace)
         return trace
 
-    def put(self, key: Tuple, trace) -> None:
+    def put(self, key: Tuple, trace: ColumnarTrace) -> None:
         """Insert an externally materialized trace (shared-memory preload)."""
         self._traces[key] = trace
         self._traces.move_to_end(key)
         while len(self._traces) > self.max_traces:
             self._traces.popitem(last=False)
 
-    def _load_or_materialize(self, spec: WorkloadSpec, n_cores: int, key: Tuple):
+    def _load_or_materialize(
+        self, spec: WorkloadSpec, n_cores: int, key: Tuple
+    ) -> ColumnarTrace:
         fingerprint = None
         path = None
         if self.store_dir:
@@ -239,11 +240,7 @@ class TraceCache:
                     return trace
             except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
                 pass  # missing, corrupt, or stale file: regenerate
-        try:
-            trace = spec.materialize_columnar(n_cores)
-        except TraceCodecError:
-            # Unpackable trace: serve the object form (never persisted).
-            return spec.materialize(n_cores)
+        trace = spec.materialize_columnar(n_cores)
         if path is not None:
             # Persistence is an optimization; a read-only or full disk must
             # not fail a sweep whose trace already materialized.
@@ -257,9 +254,7 @@ class TraceCache:
     @property
     def total_bytes(self) -> int:
         """Packed bytes held across all cached columnar traces."""
-        return sum(
-            trace.nbytes for trace in self._traces.values() if hasattr(trace, "nbytes")
-        )
+        return sum(trace.nbytes for trace in self._traces.values())
 
     def stats(self) -> Dict[str, int]:
         """Occupancy and traffic counters (benchmark/CI reporting)."""
@@ -498,7 +493,7 @@ class ExecutionContext:
     def __init__(self, traces: Optional[TraceCache] = None) -> None:
         self.traces = traces if traces is not None else _shared_trace_cache
 
-    def trace(self, spec: WorkloadSpec, n_cores: int) -> WorkloadTrace:
+    def trace(self, spec: WorkloadSpec, n_cores: int) -> ColumnarTrace:
         return self.traces.get(spec, n_cores)
 
 

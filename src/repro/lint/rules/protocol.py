@@ -75,8 +75,8 @@ class BatchContractRule(Rule):
     """P202: the batched-kernel contract on protocol classes.
 
     A class opting into ``SUPPORTS_BATCH_KERNEL = True`` must satisfy the
-    contract :mod:`repro.sim.kernel` assumes: an inline fast path, a
-    ``hot_mask`` (own or inherited from the MESI family), a legal
+    contract :mod:`repro.sim.kernel` assumes: a ``hot_mask`` (own or
+    inherited from the MESI family), a legal
     ``HOT_COMMUTATIVE`` folding mode, and — for ``"local"`` folding —
     a ``batch_uop_code`` hook so U-line buffering can be classified per
     chunk.
@@ -97,7 +97,7 @@ class BatchContractRule(Rule):
     symbol = "batch-contract"
     description = (
         "SUPPORTS_BATCH_KERNEL protocols must declare the full batch "
-        "contract (inline fast path, hot_mask, legal HOT_COMMUTATIVE, "
+        "contract (hot_mask, legal HOT_COMMUTATIVE, "
         "batch_uop_code for local folding, resolve_slow_batch iff "
         "SUPPORTS_SLOW_BATCH)"
     )
@@ -195,17 +195,6 @@ class BatchContractRule(Rule):
                     "is defined or inherited from the MESI family",
                 )
             )
-        declares_inline = flags.get("SUPPORTS_INLINE_FAST_PATH") is True
-        if not declares_inline and not inherits_mask:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: SUPPORTS_BATCH_KERNEL=True requires "
-                    "SUPPORTS_INLINE_FAST_PATH=True (the kernel drops into the "
-                    "inline/resolve_slow machinery at run boundaries)",
-                )
-            )
         return findings
 
     def finalize(
@@ -268,8 +257,6 @@ class BatchContractRule(Rule):
             if not getattr(protocol_cls, "SUPPORTS_BATCH_KERNEL", False):
                 continue
             problems = []
-            if not getattr(protocol_cls, "SUPPORTS_INLINE_FAST_PATH", False):
-                problems.append("lacks SUPPORTS_INLINE_FAST_PATH")
             if not callable(getattr(protocol_cls, "hot_mask", None)):
                 problems.append("lacks a callable hot_mask")
             folding = getattr(protocol_cls, "HOT_COMMUTATIVE", None)

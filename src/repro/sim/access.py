@@ -268,7 +268,6 @@ _COLUMNAR_NAMES = {
     "ColumnarTrace",
     "TraceCodecError",
     "as_columnar",
-    "as_workload",
 }
 
 

@@ -23,9 +23,11 @@ phase      u4    phase index of the access (derived from the trace's
 ========== ===== =======================================================
 
 The converters are exact and order-preserving: ``pack -> unpack`` returns
-accesses that compare equal (``MemoryAccess.__eq__``) in the original order,
-and the golden-equivalence suite pins that simulating either form produces
-bit-identical :class:`~repro.sim.stats.SimulationResult`s.
+accesses that compare equal (``MemoryAccess.__eq__``) in the original order.
+The simulator runs this form only (an object-form trace is packed on entry),
+and the golden-equivalence suite pins that the object-form builders, packed,
+and the columnar builders produce bit-identical
+:class:`~repro.sim.stats.SimulationResult`s.
 
 ``type_code`` layout (104 codes):
 
@@ -583,10 +585,3 @@ def as_columnar(trace) -> ColumnarTrace:
     if isinstance(trace, ColumnarTrace):
         return trace
     return ColumnarTrace.from_workload(trace)
-
-
-def as_workload(trace) -> WorkloadTrace:
-    """Coerce either trace form to the object form (no-op for WorkloadTrace)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.to_workload()
-    return trace

@@ -1,6 +1,6 @@
 """Batched columnar simulation kernel: vectorized hit-run scanning.
 
-The scalar columnar loop (:meth:`MulticoreSimulator._run_columnar_scalar`)
+The scalar loop (:meth:`MulticoreSimulator._run_columnar_scalar`)
 interprets one access per Python iteration, even though on hit-friendly
 workloads the overwhelming majority of accesses are private L1 hits that
 change no coherence state visible to any other core.  This kernel removes
@@ -9,10 +9,10 @@ the interpreter from that common case:
 * Each core's private L1 residency and stable states are mirrored into flat
   NumPy arrays (:class:`~repro.hierarchy.cache.TagArray`), kept coherent
   with the object caches only at slow-path boundaries.
-* Per chunk of the columnar trace (a window of up to ``REPRO_BATCH_SIZE``
-  accesses), the "is this a private L1 hit in a stable state?" predicate is
-  evaluated for the whole chunk at once against the tag mirror
-  (:meth:`CoherenceProtocol.hot_mask`).  The resulting mask is *reused*
+* Per chunk of the columnar trace (a window of up to
+  :data:`DEFAULT_BATCH_SIZE` accesses), the "is this a private L1 hit in a
+  stable state?" predicate is evaluated for the whole chunk at once against
+  the tag mirror (:meth:`CoherenceProtocol.hot_mask`).  The resulting mask is *reused*
   across the slow accesses inside the window: after a coherence action the
   executing core lazily re-evaluates just the entries its next runs consume
   (a clean-watermark, amortized O(1) per access), and touched cores repair
@@ -73,7 +73,6 @@ out when a stretch of the workload is too slow-path-heavy to batch; the
 scalar loop hands hot stretches (long global hit streaks) back — see
 ``MulticoreSimulator._run_columnar``.  Both decisions read only simulation
 counters, never a host clock, so a trace takes the same path on every host.
-``REPRO_BATCH_SIZE`` bounds the classification window.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ _STATE_CODE = {
 #: boundary path (indexing a tuple beats indexing a NumPy array from Python).
 _KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
 
-#: Default upper bound on the classification window (accesses per chunk).
+#: Upper bound on the classification window (accesses per chunk).
 DEFAULT_BATCH_SIZE = 4096
 #: Windows start here and double every time one is consumed fully hot.
 MIN_WINDOW = 64
@@ -185,15 +184,6 @@ def kernel_mode() -> str:
     """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset)."""
     mode = os.environ.get("REPRO_SIM_KERNEL", "auto").strip().lower()
     return mode if mode in _VALID_MODES else "auto"
-
-
-def batch_size() -> int:
-    """Classification-window bound from ``REPRO_BATCH_SIZE`` (min 1)."""
-    try:
-        size = int(os.environ.get("REPRO_BATCH_SIZE", DEFAULT_BATCH_SIZE))
-    except ValueError:
-        return DEFAULT_BATCH_SIZE
-    return max(1, size)
 
 
 _SLOW_BATCH_MODES = ("auto", "off")
@@ -502,7 +492,7 @@ class BatchedKernel:
         self._fleet_cooldown = 0
         self._fleet_backoff = FLEET_COOLDOWN
 
-        self._max_window = batch_size()
+        self._max_window = DEFAULT_BATCH_SIZE
         self._min_window = min(MIN_WINDOW, self._max_window)
         for core in self.cores:
             core.window = self._min_window
@@ -1093,8 +1083,8 @@ class BatchedKernel:
     def _execute_one(self, core: _BatchCore) -> None:
         """Interpret the single access that ended a hit-run.
 
-        Line-for-line equivalent to the scalar columnar loop's per-access
-        body (inline probe, local resolution, or :meth:`resolve_slow`), plus
+        Line-for-line equivalent to the scalar loop's per-access body
+        (inline probe, local resolution, or :meth:`resolve_slow`), plus
         the incremental tag-mirror and hot-mask maintenance the batched
         classification needs.  Any change here must mirror
         :meth:`MulticoreSimulator._run_columnar_scalar`.
@@ -1142,7 +1132,7 @@ class BatchedKernel:
         if state is not None and (
             (not self._comm_never) if is_comm else (state is not StableState.UPDATE)
         ):
-            # Same hand-duplicated private probe as the scalar loops (see the
+            # Same hand-duplicated private probe as the scalar loop (see the
             # WARNING in CoherenceProtocol._private_level).
             l1 = self._l1_caches[core_id]
             cache_set = l1._sets.get(line_addr % l1._num_sets)

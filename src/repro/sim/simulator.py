@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Sequence, Type, Union
 
 from repro import obs as _obs
 from repro.core.mesi import MesiProtocol
@@ -25,7 +25,7 @@ from repro.core.meusi import MeusiProtocol
 from repro.core.protocol import CoherenceProtocol
 from repro.core.rmo import RmoProtocol
 from repro.core.states import StableState
-from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace
+from repro.sim.access import MemoryAccess, WorkloadTrace
 from repro.sim.columnar import (
     CODE_ACCESS_TYPE,
     CODE_OP,
@@ -35,6 +35,7 @@ from repro.sim.columnar import (
     REMOTE_MIN_CODE,
     UPDATE_MIN_CODE,
     ColumnarTrace,
+    as_columnar,
     decode_values,
 )
 from repro.sim.config import SystemConfig
@@ -42,9 +43,9 @@ from repro.sim.core_model import CoreTimingModel
 from repro.sim.stats import CoreStats, SimulationResult
 
 
-#: Consecutive private hits (across all cores) after which the scalar
-#: columnar loop hands control back to the batched kernel: a long global
-#: streak means every core is in the kernel's hit-run regime.
+#: Consecutive private hits (across all cores) after which the scalar loop
+#: hands control back to the batched kernel: a long global streak means
+#: every core is in the kernel's hit-run regime.
 REENTER_STREAK = 512
 
 #: Upper bound on batched-kernel stints per run, so a workload oscillating
@@ -102,231 +103,16 @@ class MulticoreSimulator:
         self.core_model = CoreTimingModel(config.core)
         self.track_values = track_values
 
-    def run(self, workload) -> SimulationResult:
+    def run(self, workload: Union[WorkloadTrace, ColumnarTrace]) -> SimulationResult:
         """Simulate the workload to completion and return statistics.
 
-        Accepts either trace representation: the object form
-        (:class:`WorkloadTrace`) or the packed columnar form
-        (:class:`~repro.sim.columnar.ColumnarTrace`), which is simulated by
-        :meth:`_run_columnar` without materializing per-access objects.  The
-        two paths are pinned bit-identical by the golden-equivalence suite.
+        Accepts either trace representation: an object-form
+        :class:`WorkloadTrace` (a builder format) is packed on entry, so
+        every run goes through :meth:`_run_columnar`.  The golden-equivalence
+        suite pins object builders, packed, bit-identical to the columnar
+        builders.
         """
-        if isinstance(workload, ColumnarTrace):
-            return self._run_columnar(workload)
-        if workload.n_cores > self.config.n_cores:
-            raise ValueError(
-                f"workload uses {workload.n_cores} cores but the machine has "
-                f"{self.config.n_cores}"
-            )
-        workload.validate()
-
-        n_cores = workload.n_cores
-        cursors = [_CoreCursor(core_id=i) for i in range(n_cores)]
-        core_stats = [CoreStats(core_id=i) for i in range(n_cores)]
-        phase_boundaries = workload.phase_boundaries or []
-        n_phases = len(phase_boundaries)
-
-        # -- hot-loop constants, hoisted out of the per-access path -----------
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        protocol = self.protocol
-        traces = workload.per_core
-        trace_lens = [len(trace) for trace in traces]
-        cpi = self.core_model.cycles_per_instruction
-        atomic_overhead = self.core_model.atomic_overhead
-        commutative_overhead = self.core_model.commutative_overhead
-        # Private-hit latencies, as the same float sums the transaction path
-        # would produce (L1, and L1+L2) so results stay bit-identical.
-        l1_latency = self.config.l1d.latency
-        l2_latency = self.config.l2.latency
-        l1_hit_total = l1_latency + 0.0
-        l2_hit_total = l1_latency + l2_latency + 0.0
-        load_t = AccessType.LOAD
-        store_t = AccessType.STORE
-        atomic_t = AccessType.ATOMIC_RMW
-        commutative_t = AccessType.COMMUTATIVE_UPDATE
-        # (REMOTE_UPDATE is the dispatch's final else: no constant needed.)
-
-        # Inline private-hit fast path (see CoherenceProtocol.resolve_slow):
-        # for the MESI-family engines the loop resolves hits against the
-        # protocol's own tables without a single protocol call, and everything
-        # else drops into resolve_slow.  Engines without fast-path support
-        # fall back to access_hot per access.
-        inline = protocol.SUPPORTS_INLINE_FAST_PATH
-        if inline:
-            resolve_slow = protocol.resolve_slow
-            core_states = protocol.core_states
-            l1_caches = protocol._l1_caches
-            l2_caches = protocol._l2_caches
-            line_shift = protocol._line_shift
-            track_values = protocol.track_values
-            memory_image = protocol.memory_image
-            directory_entries = protocol.directory._entries
-            comm_local = protocol.HOT_COMMUTATIVE == "local"
-            comm_never = protocol.HOT_COMMUTATIVE == "never"
-            exclusive_s = StableState.EXCLUSIVE
-            modified_s = StableState.MODIFIED
-            update_s = StableState.UPDATE
-        else:
-            access_hot = protocol.access_hot
-
-        # Min-heap of (clock, core_id) for cores that still have work to do.
-        # The core id is an explicit part of every heap entry so that cores
-        # whose clocks are exactly equal are always popped in ascending
-        # core-id order — the interleaving is fully deterministic, and the
-        # object and columnar simulation paths can never diverge on ties
-        # (pinned by tests/sim/test_simulator.py::TestCoreSelectionTieBreak).
-        heap: List[tuple] = [(0.0, i) for i in range(n_cores)]
-        heapq.heapify(heap)
-        barrier_waiters: List[int] = []
-
-        while heap or barrier_waiters:
-            if not heap:
-                # Every runnable core reached the current barrier: release it.
-                self._release_barrier(cursors, barrier_waiters, heap)
-                continue
-
-            clock, core_id = heappop(heap)
-            cursor = cursors[core_id]
-            index = cursor.next_index
-
-            if index >= trace_lens[core_id]:
-                # This core is done; it still participates in barriers so that
-                # phases end only when every core has arrived.  The clock is
-                # normally carried in the heap tuples; record it on the
-                # cursor only when the core leaves the heap.
-                cursor.clock = clock
-                if cursor.phase < n_phases:
-                    barrier_waiters.append(core_id)
-                continue
-
-            # Check whether the core has reached its next phase boundary.
-            if cursor.phase < n_phases:
-                if index >= phase_boundaries[cursor.phase][core_id]:
-                    cursor.clock = clock
-                    barrier_waiters.append(core_id)
-                    continue
-
-            access = traces[core_id][index]
-            cursor.next_index = index + 1
-            stats = core_stats[core_id]
-
-            # One fused dispatch on the access type: issue overhead and the
-            # per-type instruction counters.
-            access_type = access.access_type
-            is_comm = False
-            if access_type is load_t:
-                overhead = 0.0
-                stats.loads += 1
-            elif access_type is store_t:
-                overhead = 0.0
-                stats.stores += 1
-            elif access_type is atomic_t:
-                overhead = atomic_overhead
-                stats.atomics += 1
-            elif access_type is commutative_t:
-                overhead = commutative_overhead
-                stats.commutative_updates += 1
-                is_comm = True
-            else:
-                overhead = commutative_overhead
-                stats.remote_updates += 1
-                is_comm = True
-
-            think = access.think_instructions * cpi
-            issue_time = clock + think
-
-            hit_level = 0
-            if inline:
-                address = access.address
-                line_addr = address >> line_shift
-                states = core_states[core_id]
-                state = states.get(line_addr)
-                level = None
-                # Probe the private caches only when a hit is possible under
-                # this engine's rules; any access the original transaction
-                # path would probe but this loop does not is probed inside
-                # resolve_slow instead, so the lookup happens exactly once.
-                if state is not None and (
-                    (not comm_never) if is_comm else (state is not update_s)
-                ):
-                    # Same side effects as CoherenceProtocol._private_level —
-                    # the probe is intentionally hand-duplicated for speed;
-                    # change every copy listed in _private_level's WARNING
-                    # together (the golden-equivalence suite catches
-                    # divergence).
-                    l1 = l1_caches[core_id]
-                    cache_set = l1._sets.get(line_addr % l1._num_sets)
-                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                        cache_set[line_addr] = True
-                        l1.hits += 1
-                        level = 1
-                    else:
-                        l1.misses += 1
-                        l2 = l2_caches[core_id]
-                        cache_set = l2._sets.get(line_addr % l2._num_sets)
-                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                            cache_set[line_addr] = True
-                            l2.hits += 1
-                            l1.insert(line_addr)
-                            level = 2
-                        else:
-                            l2.misses += 1
-                            level = 0
-                    if level:
-                        if access_type is load_t:
-                            if state is not update_s:  # S/E/M satisfy loads
-                                hit_level = level
-                        elif state is modified_s or state is exclusive_s:
-                            # Store, atomic, or (folded/local) commutative
-                            # update against our own M/E copy.
-                            states[line_addr] = modified_s
-                            if track_values:
-                                if access_type is store_t:
-                                    if access.value is not None:
-                                        memory_image[address] = access.value
-                                else:
-                                    protocol._functional_update(access)
-                            if is_comm and comm_local:
-                                protocol.stat_local_updates += 1
-                            hit_level = level
-                        elif state is update_s and is_comm and comm_local:
-                            # U-state line: buffer same-type updates locally.
-                            entry = directory_entries.get(line_addr)
-                            op = access.op
-                            if op is not None and entry is not None and entry.op is op:
-                                if track_values:
-                                    protocol._apply_local_update(core_id, access)
-                                protocol.stat_local_updates += 1
-                                hit_level = level
-                if not hit_level:
-                    latency = resolve_slow(
-                        core_id, access, line_addr, state, level, issue_time, stats.latency
-                    )
-            else:
-                latency = access_hot(core_id, access, issue_time, stats.latency)
-                if latency.__class__ is int:
-                    hit_level = latency
-
-            if hit_level:
-                # Private hit: charge the fixed L1/L2 latency (the slow path
-                # charged its own components to stats.latency in place).
-                latency_record = stats.latency
-                latency_record.l1 += l1_latency
-                if hit_level == 1:
-                    latency = l1_hit_total
-                else:
-                    latency_record.l2 += l2_latency
-                    latency = l2_hit_total
-                stats.l1_hits += 1
-
-            stats.accesses += 1
-            stats.compute_cycles += think + overhead
-            stats.memory_cycles += latency
-
-            heappush(heap, (issue_time + overhead + latency, core_id))
-
-        return self._finish(workload, cursors, core_stats)
+        return self._run_columnar(as_columnar(workload))
 
     def _run_columnar(self, workload: ColumnarTrace) -> SimulationResult:
         """Simulate a columnar trace via the batched kernel or the scalar loop.
@@ -355,11 +141,7 @@ class MulticoreSimulator:
         from repro.sim.kernel import BatchedKernel, kernel_mode
 
         mode = kernel_mode()
-        if (
-            mode == "scalar"
-            or not self.protocol.SUPPORTS_BATCH_KERNEL
-            or not self.protocol.SUPPORTS_INLINE_FAST_PATH
-        ):
+        if mode == "scalar" or not self.protocol.SUPPORTS_BATCH_KERNEL:
             return self._run_columnar_scalar(workload)
 
         # The two loops alternate on the same exact state: the kernel bails
@@ -406,19 +188,16 @@ class MulticoreSimulator:
     def _run_columnar_scalar(
         self, workload: ColumnarTrace, resume=None, scratch=None, reenter=False
     ):
-        """Columnar twin of :meth:`run`: cursor-indexed raw columns.
+        """The scalar simulation loop: one access per iteration over raw columns.
 
-        The control flow, arithmetic, and protocol interactions are kept
-        line-for-line equivalent to the object loop — only the per-access
-        representation differs.  ``MemoryAccess`` objects are materialized
-        lazily, and only for the protocol calls whose signatures take one
-        (``resolve_slow``/``access_hot`` and the functional-update helpers);
-        every private hit resolves against raw ints and floats.  Any change
-        here must be mirrored in :meth:`run`, in the batched kernel's
-        boundary path (``BatchedKernel._execute_one``), and in the engines'
-        group-retirement merge (``resolve_slow_batch``, which replays this
-        loop's probe + ``resolve_slow`` sequence inline per slot); the
-        golden equivalence suite pins all paths bit-identical.
+        ``MemoryAccess`` objects are materialized lazily, and only for the
+        protocol calls whose signatures take one (``resolve_slow`` and the
+        functional-update helpers); every private hit resolves against raw
+        ints and floats.  Any change here must be mirrored in the batched
+        kernel's boundary path (``BatchedKernel._execute_one``) and in the
+        engines' group-retirement merge (``resolve_slow_batch``, which
+        replays this loop's probe + ``resolve_slow`` sequence inline per
+        slot); the golden equivalence suite pins all paths bit-identical.
 
         ``resume`` is a handoff from a bailed-out batched-kernel run:
         ``(per-core (clock, next_index, phase), core_stats, heap entries,
@@ -484,26 +263,29 @@ class MulticoreSimulator:
         code_size = CODE_SIZE
         new_access = MemoryAccess.__new__
 
-        inline = protocol.SUPPORTS_INLINE_FAST_PATH
-        if inline:
-            resolve_slow = protocol.resolve_slow
-            core_states = protocol.core_states
-            l1_caches = protocol._l1_caches
-            l2_caches = protocol._l2_caches
-            line_shift = protocol._line_shift
-            track_values = protocol.track_values
-            memory_image = protocol.memory_image
-            directory_entries = protocol.directory._entries
-            comm_local = protocol.HOT_COMMUTATIVE == "local"
-            comm_never = protocol.HOT_COMMUTATIVE == "never"
-            exclusive_s = StableState.EXCLUSIVE
-            modified_s = StableState.MODIFIED
-            update_s = StableState.UPDATE
-        else:
-            access_hot = protocol.access_hot
+        # Inline private-hit fast path (see CoherenceProtocol.resolve_slow):
+        # the loop resolves hits against the engine's own tables without a
+        # single protocol call; everything else drops into resolve_slow.
+        resolve_slow = protocol.resolve_slow
+        core_states = protocol.core_states
+        l1_caches = protocol._l1_caches
+        l2_caches = protocol._l2_caches
+        line_shift = protocol._line_shift
+        track_values = protocol.track_values
+        memory_image = protocol.memory_image
+        directory_entries = protocol.directory._entries
+        comm_local = protocol.HOT_COMMUTATIVE == "local"
+        comm_never = protocol.HOT_COMMUTATIVE == "never"
+        exclusive_s = StableState.EXCLUSIVE
+        modified_s = StableState.MODIFIED
+        update_s = StableState.UPDATE
 
-        # Same deterministic (clock, core_id) heap as the object loop: equal
-        # clocks always pop in ascending core-id order.
+        # Min-heap of (clock, core_id) for cores that still have work to do.
+        # The core id is an explicit part of every heap entry so that cores
+        # whose clocks are exactly equal are always popped in ascending
+        # core-id order — the interleaving is fully deterministic, and the
+        # scalar loop and the batched kernel can never diverge on ties
+        # (pinned by tests/sim/test_simulator.py::TestCoreSelectionTieBreak).
         if resume is None:
             heap: List[tuple] = [(0.0, i) for i in range(n_cores)]
             barrier_waiters: List[int] = []
@@ -540,8 +322,8 @@ class MulticoreSimulator:
             cursor.next_index = index + 1
             stats = core_stats[core_id]
 
-            # Fused dispatch on the packed type code (integer range compares
-            # replace the enum identity checks of the object loop).
+            # One fused dispatch on the packed type code (integer range
+            # compares): issue overhead and the per-type instruction counters.
             is_comm = False
             if code < store_min:  # LOAD
                 overhead = 0.0
@@ -565,84 +347,77 @@ class MulticoreSimulator:
             issue_time = clock + think
 
             hit_level = 0
-            if inline:
-                line_addr = address >> line_shift
-                states = core_states[core_id]
-                state = states.get(line_addr)
-                level = None
-                if state is not None and (
-                    (not comm_never) if is_comm else (state is not update_s)
-                ):
-                    # Same hand-duplicated private-cache probe as the object
-                    # loop (see the WARNING in CoherenceProtocol._private_level).
-                    l1 = l1_caches[core_id]
-                    cache_set = l1._sets.get(line_addr % l1._num_sets)
+            line_addr = address >> line_shift
+            states = core_states[core_id]
+            state = states.get(line_addr)
+            level = None
+            if state is not None and (
+                (not comm_never) if is_comm else (state is not update_s)
+            ):
+                # Probe the private caches only when a hit is possible under
+                # this engine's rules; any access the transaction path would
+                # probe but this loop does not is probed inside resolve_slow
+                # instead, so the lookup happens exactly once.  Same side
+                # effects as CoherenceProtocol._private_level — the probe is
+                # hand-duplicated for speed; change every copy listed in its
+                # WARNING together.
+                l1 = l1_caches[core_id]
+                cache_set = l1._sets.get(line_addr % l1._num_sets)
+                if cache_set is not None and cache_set.pop(line_addr, None) is not None:
+                    cache_set[line_addr] = True
+                    l1.hits += 1
+                    level = 1
+                else:
+                    l1.misses += 1
+                    l2 = l2_caches[core_id]
+                    cache_set = l2._sets.get(line_addr % l2._num_sets)
                     if cache_set is not None and cache_set.pop(line_addr, None) is not None:
                         cache_set[line_addr] = True
-                        l1.hits += 1
-                        level = 1
+                        l2.hits += 1
+                        l1.insert(line_addr)
+                        level = 2
                     else:
-                        l1.misses += 1
-                        l2 = l2_caches[core_id]
-                        cache_set = l2._sets.get(line_addr % l2._num_sets)
-                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                            cache_set[line_addr] = True
-                            l2.hits += 1
-                            l1.insert(line_addr)
-                            level = 2
-                        else:
-                            l2.misses += 1
-                            level = 0
-                    if level:
-                        if code < store_min:  # LOAD
-                            if state is not update_s:
-                                hit_level = level
-                        elif state is modified_s or state is exclusive_s:
-                            states[line_addr] = modified_s
-                            if track_values:
-                                if code < atomic_min:  # STORE
-                                    value = values_pc[core_id][index]
-                                    if value is not None:
-                                        memory_image[address] = value
-                                else:
-                                    access = new_access(MemoryAccess)
-                                    access.access_type = code_type[code]
-                                    access.address = address
-                                    access.op = code_op[code]
-                                    access.value = values_pc[core_id][index]
-                                    access.think_instructions = int(gap)
-                                    access.size_bytes = code_size[code]
-                                    protocol._functional_update(access)
-                            if is_comm and comm_local:
-                                protocol.stat_local_updates += 1
+                        l2.misses += 1
+                        level = 0
+                if level:
+                    if code < store_min:  # LOAD
+                        if state is not update_s:
                             hit_level = level
-                        elif state is update_s and is_comm and comm_local:
-                            entry = directory_entries.get(line_addr)
-                            op = code_op[code]
-                            if op is not None and entry is not None and entry.op is op:
-                                if track_values:
-                                    access = new_access(MemoryAccess)
-                                    access.access_type = code_type[code]
-                                    access.address = address
-                                    access.op = op
-                                    access.value = values_pc[core_id][index]
-                                    access.think_instructions = int(gap)
-                                    access.size_bytes = code_size[code]
-                                    protocol._apply_local_update(core_id, access)
-                                protocol.stat_local_updates += 1
-                                hit_level = level
-                if not hit_level:
-                    access = new_access(MemoryAccess)
-                    access.access_type = code_type[code]
-                    access.address = address
-                    access.op = code_op[code]
-                    access.value = values_pc[core_id][index]
-                    access.think_instructions = int(gap)
-                    access.size_bytes = code_size[code]
-                    latency = resolve_slow(
-                        core_id, access, line_addr, state, level, issue_time, stats.latency
-                    )
-            else:
+                    elif state is modified_s or state is exclusive_s:
+                        states[line_addr] = modified_s
+                        if track_values:
+                            if code < atomic_min:  # STORE
+                                value = values_pc[core_id][index]
+                                if value is not None:
+                                    memory_image[address] = value
+                            else:
+                                access = new_access(MemoryAccess)
+                                access.access_type = code_type[code]
+                                access.address = address
+                                access.op = code_op[code]
+                                access.value = values_pc[core_id][index]
+                                access.think_instructions = int(gap)
+                                access.size_bytes = code_size[code]
+                                protocol._functional_update(access)
+                        if is_comm and comm_local:
+                            protocol.stat_local_updates += 1
+                        hit_level = level
+                    elif state is update_s and is_comm and comm_local:
+                        entry = directory_entries.get(line_addr)
+                        op = code_op[code]
+                        if op is not None and entry is not None and entry.op is op:
+                            if track_values:
+                                access = new_access(MemoryAccess)
+                                access.access_type = code_type[code]
+                                access.address = address
+                                access.op = op
+                                access.value = values_pc[core_id][index]
+                                access.think_instructions = int(gap)
+                                access.size_bytes = code_size[code]
+                                protocol._apply_local_update(core_id, access)
+                            protocol.stat_local_updates += 1
+                            hit_level = level
+            if not hit_level:
                 access = new_access(MemoryAccess)
                 access.access_type = code_type[code]
                 access.address = address
@@ -650,10 +425,9 @@ class MulticoreSimulator:
                 access.value = values_pc[core_id][index]
                 access.think_instructions = int(gap)
                 access.size_bytes = code_size[code]
-                latency = access_hot(core_id, access, issue_time, stats.latency)
-                if latency.__class__ is int:
-                    hit_level = latency
-
+                latency = resolve_slow(
+                    core_id, access, line_addr, state, level, issue_time, stats.latency
+                )
             if hit_level:
                 latency_record = stats.latency
                 latency_record.l1 += l1_latency
@@ -689,7 +463,7 @@ class MulticoreSimulator:
 
     def _finish(
         self,
-        workload: WorkloadTrace,
+        workload: ColumnarTrace,
         cursors: Sequence[_CoreCursor],
         core_stats: List[CoreStats],
     ) -> SimulationResult:
@@ -743,7 +517,7 @@ class MulticoreSimulator:
 
 
 def simulate(
-    workload: WorkloadTrace,
+    workload: Union[WorkloadTrace, ColumnarTrace],
     config: SystemConfig,
     protocol: str = "MESI",
     *,

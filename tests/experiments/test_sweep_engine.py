@@ -265,8 +265,9 @@ class TestColumnarTraceCache:
         fresh = simulate(spec.materialize(4), config, "COUP", track_values=True)
         assert columnar == fresh
 
-    def test_unpackable_trace_falls_back_to_object_form(self):
+    def test_unpackable_trace_raises_codec_error(self):
         from repro.sim.access import MemoryAccess, WorkloadTrace
+        from repro.sim.columnar import TraceCodecError
 
         class WeirdWorkload(MultiCounterWorkload):
             def generate_columnar(self, n_cores):
@@ -281,9 +282,14 @@ class TestColumnarTraceCache:
             lambda: WeirdWorkload(n_counters=4, updates_per_core=2),
             materialize=lambda workload, n_cores: workload.generate(n_cores),
         )
-        trace = cache.get(spec, 2)
-        assert trace.per_core[0][0].value == ("un", "packable")
-        assert cache.total_bytes == 0  # object-form fallback is not packed
+        # The cache and the simulator hold packed traces only: an operand
+        # the codec cannot represent fails loudly instead of running an
+        # object-form trace.
+        with pytest.raises(TraceCodecError):
+            cache.get(spec, 2)
+        assert len(cache) == 0
+        with pytest.raises(TraceCodecError):
+            simulate(spec.materialize(2), small_test_config(2), "MESI")
 
     def test_store_dir_roundtrips_traces_through_npz(self, tmp_path):
         store = str(tmp_path / "traces")

@@ -55,7 +55,6 @@ class TestP202BatchContract:
         source = (
             "class FancyProtocol:\n"
             "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
@@ -65,7 +64,6 @@ class TestP202BatchContract:
         source = (
             "class FancyProtocol:\n"
             "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'local'\n"
             "    def hot_mask(self, codes):\n"
             "        return codes\n"
@@ -81,7 +79,6 @@ class TestP202BatchContract:
             "from repro.core.mesi import MesiProtocol\n"
             "class TweakedMesi(MesiProtocol):\n"
             "    SUPPORTS_BATCH_KERNEL = True\n"
-            "    SUPPORTS_INLINE_FAST_PATH = True\n"
             "    HOT_COMMUTATIVE = 'atomic'\n"
         )
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])

@@ -25,7 +25,7 @@ from repro.hierarchy.cache import (
 from repro.sim.access import MemoryAccess, WorkloadTrace
 from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config
-from repro.sim.kernel import BatchedKernel, batch_size, kernel_mode
+from repro.sim.kernel import BatchedKernel, kernel_mode
 from repro.sim.simulator import MulticoreSimulator, make_protocol, simulate
 from repro.workloads.base import UpdateStyle
 from repro.workloads.histogram import HistogramWorkload
@@ -57,11 +57,11 @@ WORKLOADS = {
 
 
 def _simulate(trace, protocol, monkeypatch, mode, chunk=None):
+    import repro.sim.kernel as kernel_module
+
     monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
-    if chunk is None:
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BATCH_SIZE", str(chunk))
+    if chunk is not None:
+        monkeypatch.setattr(kernel_module, "DEFAULT_BATCH_SIZE", chunk)
     config = small_test_config(N_CORES)
     return simulate(trace, config, protocol, track_values=True)
 
@@ -114,7 +114,7 @@ def test_batched_bit_identical_across_chunk_sizes(
     for chunk in _chunk_sizes(trace):
         result = _simulate(trace, protocol, monkeypatch, "batch", chunk=chunk)
         assert result.to_jsonable() == reference, (
-            f"{workload_name}/{protocol} diverges at REPRO_BATCH_SIZE={chunk}"
+            f"{workload_name}/{protocol} diverges at DEFAULT_BATCH_SIZE={chunk}"
         )
 
 
@@ -268,12 +268,6 @@ def test_env_knob_parsing(monkeypatch):
     assert kernel_mode() == "auto"
     monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
     assert kernel_mode() == "auto"
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
-    assert batch_size() == 7
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
-    assert batch_size() == 1
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "not-a-number")
-    assert batch_size() > 1
 
 
 def _lru_refresh_trace(n_hits: int, l1_sets: int) -> WorkloadTrace:
@@ -312,7 +306,6 @@ def test_batched_hit_run_refreshes_lru_in_last_use_order(protocol, n_hits, monke
     import repro.sim.kernel as kernel_module
 
     monkeypatch.setattr(kernel_module, "MIN_WINDOW", 4096)
-    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
     base = small_test_config(1)
     config = dataclasses.replace(
         base, l1d=dataclasses.replace(base.l1d, ways=4)

@@ -84,7 +84,7 @@ def traces():
 @pytest.fixture
 def counters_mode(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "counters")
-    for knob in ("REPRO_SIM_KERNEL", "REPRO_SLOW_BATCH", "REPRO_BATCH_SIZE"):
+    for knob in ("REPRO_SIM_KERNEL", "REPRO_SLOW_BATCH"):
         monkeypatch.delenv(knob, raising=False)
     obs.reconfigure()
     yield

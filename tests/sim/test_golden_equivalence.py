@@ -179,8 +179,9 @@ def test_columnar_simulation_matches_golden(case_key, columnar_fingerprints):
     assert current == golden[case_key]
 
 
-#: Paper-benchmark grid pinning object-vs-columnar equality per
-#: protocol x workload x update style x core count (ISSUE 3 acceptance).
+#: Paper-benchmark grid pinning the object builders (packed on entry) equal
+#: to the columnar builders per protocol x workload x update style x core
+#: count.
 def _paper_grid_cases():
     factories = {
         "hist": lambda style: HistogramWorkload(n_bins=32, n_items=500, update_style=style),
@@ -212,7 +213,7 @@ _PAPER_GRID, _PAPER_FACTORIES = _paper_grid_cases()
 )
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_columnar_equals_object_on_paper_grid(workload_name, style, n_cores, protocol):
-    """Simulating the columnar form must be bit-identical to the object form."""
+    """The object builder, packed, simulates bit-identically to the columnar one."""
     factory = _PAPER_FACTORIES[workload_name]
     object_trace = factory(style).generate(n_cores)
     columnar_trace = factory(style).generate_columnar(n_cores)

@@ -185,12 +185,13 @@ class TestStatisticsPlumbing:
         assert summary["run_cycles"] > 0
 
 
+@pytest.mark.parametrize("kernel", ["scalar", "batch"])
 class TestCoreSelectionTieBreak:
     """Equal core clocks must always resolve in ascending core-id order.
 
     Every heap entry is an explicit ``(clock, core_id)`` pair, so ties on
-    the clock break deterministically by core id — on both the object and
-    the columnar simulation path.  This pins the interleaving the sweep
+    the clock break deterministically by core id — in the scalar loop and
+    in the batched kernel alike.  This pins the interleaving the sweep
     engine's shared traces (and the golden results) depend on.
     """
 
@@ -198,9 +199,9 @@ class TestCoreSelectionTieBreak:
     ACCESSES_PER_CORE = 4
 
     def _symmetric_workload(self) -> WorkloadTrace:
-        # Every core issues the same number of private, zero-think loads
-        # with identical latencies: after each access all clocks are equal,
-        # so every scheduling decision is a pure tie.
+        # Every core issues the same number of zero-think loads to lines
+        # nobody else touches, with identical latencies: after each access
+        # all clocks are equal, so every scheduling decision is a pure tie.
         per_core = [
             [
                 MemoryAccess.load((core_id * 64 + i * self.N_CORES * 64) + 0x1000_0000)
@@ -210,33 +211,34 @@ class TestCoreSelectionTieBreak:
         ]
         return WorkloadTrace(name="tie-break", per_core=per_core)
 
-    def _recorded_order(self, trace) -> list:
+    def _recorded_order(self, trace, kernel, monkeypatch) -> list:
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
         config = small_test_config(self.N_CORES)
         engine = make_protocol("RMO", config)
-        # Force the access_hot path so every access reaches the recorder
-        # (the inline fast path would resolve private hits silently).
-        engine.SUPPORTS_INLINE_FAST_PATH = False
+        # Every access is a cold miss, so each one reaches resolve_slow.
         order = []
-        original = engine.access_hot
+        original = engine.resolve_slow
 
-        def recording_access_hot(core_id, access, now, latency):
+        def recording_resolve_slow(core_id, *args):
             order.append(core_id)
-            return original(core_id, access, now, latency)
+            return original(core_id, *args)
 
-        engine.access_hot = recording_access_hot
+        engine.resolve_slow = recording_resolve_slow
         MulticoreSimulator(config, engine).run(trace)
         return order
 
-    def test_equal_clocks_pop_in_core_id_order(self):
-        order = self._recorded_order(self._symmetric_workload())
+    def test_equal_clocks_pop_in_core_id_order(self, kernel, monkeypatch):
+        order = self._recorded_order(self._symmetric_workload(), kernel, monkeypatch)
         expected = list(range(self.N_CORES)) * self.ACCESSES_PER_CORE
         assert order == expected
 
-    def test_columnar_path_interleaves_identically(self):
+    def test_columnar_path_interleaves_identically(self, kernel, monkeypatch):
         from repro.sim.columnar import ColumnarTrace
 
         workload = self._symmetric_workload()
-        object_order = self._recorded_order(workload)
-        columnar_order = self._recorded_order(ColumnarTrace.from_workload(workload))
+        object_order = self._recorded_order(workload, kernel, monkeypatch)
+        columnar_order = self._recorded_order(
+            ColumnarTrace.from_workload(workload), kernel, monkeypatch
+        )
         assert columnar_order == object_order
         assert columnar_order == list(range(self.N_CORES)) * self.ACCESSES_PER_CORE
