@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set
 
-import numpy as np
-
-from repro.core.commutative import ALL_OPS, CommutativeOp
+from repro.core.commutative import CommutativeOp
 from repro.core.states import LineMode
 
 
@@ -190,185 +188,3 @@ class Directory:
         """
         type_field_bits = max(1, (n_ops + 1 - 1).bit_length())
         return n_caches + 1 + type_field_bits
-
-
-# -- flat array mirror (batched-kernel classification) -------------------------
-
-#: :class:`DirectoryArray` mode codes (uint8), mirroring :class:`LineMode`.
-MODE_UNCACHED = 0
-MODE_EXCLUSIVE = 1
-MODE_READ_ONLY = 2
-MODE_UPDATE_ONLY = 3
-
-#: ``op`` code for "no commutative op recorded" (mirrors ``UOP_NONE``).
-DIR_OP_NONE = 255
-
-_MODE_CODE = {
-    LineMode.UNCACHED: MODE_UNCACHED,
-    LineMode.EXCLUSIVE: MODE_EXCLUSIVE,
-    LineMode.READ_ONLY: MODE_READ_ONLY,
-    LineMode.UPDATE_ONLY: MODE_UPDATE_ONLY,
-}
-
-_OP_CODE = {op: index for index, op in enumerate(ALL_OPS)}
-
-
-class DirectoryArray:
-    """Flat NumPy mirror of :class:`Directory` state for bulk classification.
-
-    The batched kernel's group-retirement stage (:mod:`repro.sim.kernel`)
-    needs to ask, for a whole stretch of pending slow accesses at once,
-    "which transaction shape would each of these trigger?".  Walking the
-    object directory per access from Python defeats the point, so this
-    mirror keeps the classification-relevant per-line state — mode code,
-    op code, sharer count, sharer bit-vector words, and ``busy_until`` —
-    in flat arrays keyed by a line-index table, the same pattern
-    :class:`~repro.hierarchy.cache.TagArray` uses for private-tag state.
-
-    Coherency follows the ``protocol.touched_cores`` discipline: rows are
-    pulled lazily from the object directory on first use, and the kernel
-    calls :meth:`invalidate_line` for every line a slow-path transaction
-    touched, which marks the row stale so the next lookup re-pulls it.
-    The mirror is advisory — retirement always revalidates against the
-    object :class:`Directory` — so a stale row can cost a declined group,
-    never a wrong result.
-    """
-
-    __slots__ = (
-        "n_caches",
-        "n_words",
-        "_index",
-        "capacity",
-        "size",
-        "lines",
-        "mode",
-        "op",
-        "n_sharers",
-        "busy_until",
-        "sharers",
-    )
-
-    def __init__(self, n_caches: int, capacity: int = 256) -> None:
-        self.n_caches = n_caches
-        self.n_words = max(1, (n_caches + 63) // 64)
-        self._index: Dict[int, int] = {}
-        self.capacity = max(16, capacity)
-        self.size = 0
-        self._allocate(self.capacity)
-
-    def _allocate(self, capacity: int) -> None:
-        self.lines = np.zeros(capacity, dtype=np.int64)
-        self.mode = np.zeros(capacity, dtype=np.uint8)
-        self.op = np.full(capacity, DIR_OP_NONE, dtype=np.uint8)
-        self.n_sharers = np.zeros(capacity, dtype=np.int32)
-        self.busy_until = np.zeros(capacity, dtype=np.float64)
-        self.sharers = np.zeros((capacity, self.n_words), dtype=np.uint64)
-
-    def _grow(self) -> None:
-        old = (self.lines, self.mode, self.op, self.n_sharers, self.busy_until, self.sharers)
-        self.capacity *= 2
-        self._allocate(self.capacity)
-        n = self.size
-        for new, prev in zip(
-            (self.lines, self.mode, self.op, self.n_sharers, self.busy_until, self.sharers),
-            old,
-        ):
-            new[:n] = prev[:n]
-
-    # -- row maintenance -------------------------------------------------------
-
-    def _fill_row(self, row: int, entry: Optional[DirectoryEntry]) -> None:
-        if entry is None:
-            self.mode[row] = MODE_UNCACHED
-            self.op[row] = DIR_OP_NONE
-            self.n_sharers[row] = 0
-            self.busy_until[row] = 0.0
-            self.sharers[row, :] = 0
-            return
-        self.mode[row] = _MODE_CODE[entry.mode]
-        self.op[row] = DIR_OP_NONE if entry.op is None else _OP_CODE[entry.op]
-        self.n_sharers[row] = len(entry.sharers)
-        self.busy_until[row] = entry.busy_until
-        words = [0] * self.n_words
-        for cache_id in entry.sharers:
-            words[cache_id >> 6] |= 1 << (cache_id & 63)
-        for word_index, word in enumerate(words):
-            self.sharers[row, word_index] = word
-
-    def row_of(self, line_addr: int, directory: Directory) -> int:
-        """Row holding ``line_addr``'s mirrored state, pulling it if absent."""
-        row = self._index.get(line_addr)
-        if row is None:
-            if self.size == self.capacity:
-                self._grow()
-            row = self.size
-            self.size = row + 1
-            self._index[line_addr] = row
-            self.lines[row] = line_addr
-            self._fill_row(row, directory.peek(line_addr))
-        return row
-
-    def invalidate_line(self, line_addr: int, directory: Directory) -> None:
-        """Resync one line's row after a transaction touched it."""
-        row = self._index.get(line_addr)
-        if row is not None:
-            self._fill_row(row, directory.peek(line_addr))
-
-    def sync_lines(self, line_addrs: Iterable[int], directory: Directory) -> None:
-        """Resync every given line (the slow-path boundary resync)."""
-        for line_addr in line_addrs:
-            self.invalidate_line(line_addr, directory)
-
-    def rows_for(self, line_addrs, directory: Directory) -> np.ndarray:
-        """Rows for a vector of line addresses (creating rows as needed)."""
-        row_of = self.row_of
-        return np.fromiter(
-            (row_of(int(line), directory) for line in line_addrs),
-            dtype=np.int64,
-            count=len(line_addrs),
-        )
-
-    def is_sharer(self, row: int, cache_id: int) -> bool:
-        return bool(self.sharers[row, cache_id >> 6] >> np.uint64(cache_id & 63) & np.uint64(1))
-
-    def sharer_sets_disjoint(self, rows: np.ndarray) -> bool:
-        """Whether the given rows' sharer bit-vectors are pairwise disjoint.
-
-        Pairwise disjointness over k rows reduces to "no bit is set twice",
-        checked word-parallel: OR-accumulating the vectors equals XOR-
-        accumulating them iff no two vectors share a bit.
-        """
-        vectors = self.sharers[rows]
-        ored = np.bitwise_or.reduce(vectors, axis=0)
-        xored = np.bitwise_xor.reduce(vectors, axis=0)
-        return bool((ored == xored).all())
-
-    # -- invariants ------------------------------------------------------------
-
-    def check_invariants(self, directory: Directory) -> None:
-        """Raise if any mirrored row disagrees with the object directory."""
-        # repro-lint: disable=D102(pure invariant assertion pass; raises or does nothing, no result flows out)
-        for line_addr, row in self._index.items():
-            entry = directory.peek(line_addr)
-            mode = MODE_UNCACHED if entry is None else _MODE_CODE[entry.mode]
-            if int(self.mode[row]) != mode:
-                raise AssertionError(
-                    f"mirror mode {int(self.mode[row])} != {mode} for line {line_addr:#x}"
-                )
-            sharers = set() if entry is None else entry.sharers
-            if int(self.n_sharers[row]) != len(sharers):
-                raise AssertionError(
-                    f"mirror sharer count {int(self.n_sharers[row])} != "
-                    f"{len(sharers)} for line {line_addr:#x}"
-                )
-            for cache_id in range(self.n_caches):
-                if self.is_sharer(row, cache_id) != (cache_id in sharers):
-                    raise AssertionError(
-                        f"mirror sharer bit {cache_id} wrong for line {line_addr:#x}"
-                    )
-            op_code = DIR_OP_NONE if entry is None or entry.op is None else _OP_CODE[entry.op]
-            if int(self.op[row]) != op_code:
-                raise AssertionError(f"mirror op wrong for line {line_addr:#x}")
-            busy = 0.0 if entry is None else entry.busy_until
-            if float(self.busy_until[row]) != busy:
-                raise AssertionError(f"mirror busy_until wrong for line {line_addr:#x}")

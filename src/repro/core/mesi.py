@@ -16,32 +16,20 @@ line's home until it completes, so concurrent atomics to a hot line queue up.
 The transactions are written flat: each sums its eight latency components in
 locals, counts messages through precomputed ``(label, bytes)`` pairs, and
 mutates directory entries and core states directly.  The same transaction
-methods serve the scalar :meth:`MesiProtocol.resolve_slow` and the
-group-retirement merge (:meth:`MesiProtocol.resolve_slow_batch`).
+methods serve :meth:`MesiProtocol.resolve_slow` and its MEUSI and RMO
+overrides.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.protocol import (
-    SHAPE_CONFLICT,
-    SHAPE_FAST,
-    CoherenceProtocol,
-)
+from repro.core.protocol import CoherenceProtocol
 from repro.core.states import LineMode, StableState
 from repro.interconnect.messages import MessageType
 from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
-from repro.sim.stats import CoreStats, LatencyBreakdown
-
-#: Code-table twins used by the group-retirement loop (Python-int indexed).
-from repro.sim.columnar import CODE_KIND, CODE_OP, CODE_VALUE_KIND, decode_value
-
-_KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
+from repro.sim.stats import LatencyBreakdown
 
 # Enum members as module globals: ``LineMode.X`` resolves through the enum
 # class on every use, an order of magnitude slower than a global lookup.
@@ -59,10 +47,6 @@ A_ATOMIC = AccessType.ATOMIC_RMW
 A_COMMUTATIVE = AccessType.COMMUTATIVE_UPDATE
 A_REMOTE = AccessType.REMOTE_UPDATE
 
-#: Accesses materialized (ndarray slice -> Python list) per slot per refill in
-#: the group-retirement merge; bounds peak list memory at a few KiB per core.
-_FLEET_CHUNK = 512
-
 
 class MesiProtocol(CoherenceProtocol):
     """Full-map directory MESI with the Table 1 four-level hierarchy."""
@@ -73,32 +57,11 @@ class MesiProtocol(CoherenceProtocol):
     #: family's rules; MEUSI and RMO inherit both flag and mask).
     SUPPORTS_BATCH_KERNEL = True
     HOT_COMMUTATIVE = "atomic"
-    #: The group-retirement stage may retire stretches of this engine's slow
-    #: accesses through :meth:`resolve_slow_batch` (same transactions as the
-    #: scalar path, bit-identical by construction).
-    SUPPORTS_SLOW_BATCH = True
-
-    #: Independence classification (mode x kind).  MESI folds commutative and
-    #: remote updates into atomic RMWs, and every stable-mode transaction can
-    #: retire in the merge, so all reachable pairs are fast; the update-only
-    #: row is unreachable under plain MESI and marked conflict defensively.
-    SLOW_SHAPE_TABLE = np.array(
-        [
-            [SHAPE_FAST] * 5,      # UNCACHED: cold fills / grants
-            [SHAPE_FAST] * 5,      # EXCLUSIVE: downgrades / ownership transfer
-            [SHAPE_FAST] * 5,      # READ_ONLY: joins / upgrades+invalidation
-            [SHAPE_CONFLICT] * 5,  # UPDATE_ONLY: never entered by MESI
-        ],
-        dtype=np.uint8,
-    )
 
     #: Per-sharer serialization when the home must invalidate several caches.
     PER_SHARER_INVAL_CYCLES = 2.0
     #: Directory bookkeeping occupancy for transactions with no remote action.
     LIGHT_OCCUPANCY = 2.0
-
-    #: Core-model constants, installed by the kernel via :meth:`slow_batch_begin`.
-    _sb_core_params: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         super().__init__(config, track_values=track_values)
@@ -469,361 +432,3 @@ class MesiProtocol(CoherenceProtocol):
         if not is_load:
             self._functional_write(access)
         return total
-
-    # ------------------------------------------------- group retirement (batch)
-
-    def slow_batch_begin(self, cpi: float, atomic_overhead: float, commutative_overhead: float) -> None:
-        """Receive the core-model constants the retirement loop charges."""
-        self._sb_core_params = (cpi, atomic_overhead, commutative_overhead)
-
-    def resolve_slow_batch(
-        self,
-        slot_cores: List[int],
-        slot_codes: List[Any],
-        slot_addrs: List[Any],
-        slot_gaps: List[Any],
-        slot_deltas: List[Any],
-        slot_cursor: List[int],
-        slot_limit: List[int],
-        slot_clock: List[float],
-        slot_stats: List[CoreStats],
-        slot_dirty: List[bool],
-        streak_cap: int,
-        max_retire: int,
-    ) -> Tuple[int, int, int]:
-        """Group-retire the pending accesses of many cores in one merged call.
-
-        See :meth:`CoherenceProtocol.slow_batch_ready` for the contract.  One
-        slot per participating core: ``slot_codes`` / ``slot_addrs`` /
-        ``slot_gaps`` / ``slot_deltas`` hold the full per-core trace columns,
-        ``slot_cursor`` / ``slot_limit`` the half-open index range still to
-        retire, and ``slot_clock`` the core clock at the cursor.  The loop
-        replays the exact scalar ``(clock, core_id)`` heap order across all
-        slots with a k-way merge — each step retires one access of the
-        earliest slot, so the interleaving is bit-identical to the scalar
-        heap by construction — while amortizing the per-event interpreter
-        cost (window re-extraction, classification, mirror repair, heap
-        churn) over whole stretches of the merge.  Hits retire inline with
-        the same hand-duplicated probe as the scalar loop;
-        independence-classified slow transactions retire through the very
-        transaction methods :meth:`resolve_slow` calls (:meth:`_demand`, and
-        MEUSI's ``_update``), so both paths mutate, count and charge alike.
-
-        A slot whose head access is a true conflict (cross-op update or
-        demand on an update-only line — a reduction trigger — or any update
-        under a ``comm_never`` engine) **parks before any mutation**: its
-        pending event becomes a bound no other slot may retire past, and the
-        merge returns once that event is the earliest remaining, leaving it
-        for the caller's exact one-at-a-time path.  The merge also returns
-        after ``max_retire`` retirements (so the caller's bail heuristic
-        keeps sampling wall-clock) or once ``streak_cap`` consecutive hits
-        retire (hit-dense stretches belong to the vectorized window path).
-
-        ``slot_cursor`` and ``slot_clock`` are updated in place;
-        ``slot_dirty[s]`` is set when slot ``s``'s private-cache membership
-        changed (L2 promotions, fills, evictions), i.e. when its tag mirror
-        needs a rebuild.  Returns ``(n_retired, n_slow, n_parked)``.
-        """
-        cpi, atomic_overhead, commutative_overhead = self._sb_core_params
-        # MEUSI-only members (GetU transactions, delta buffers, update
-        # statistics) are reached solely under ``comm_local``; the Any view
-        # keeps the shared loop in one place without widening the MESI class
-        # surface.
-        sp: Any = self
-        kind_of = _KIND_OF_CODE
-        code_op = CODE_OP
-        code_vk = CODE_VALUE_KIND
-        line_shift = self._line_shift
-        l1_lat = self._l1_latency
-        l2_lat = self._l2_latency
-        l1_hit_total = l1_lat + 0.0
-        l2_hit_total = l1_lat + l2_lat + 0.0
-        comm_local = self.HOT_COMMUTATIVE == "local"
-        comm_never = self.HOT_COMMUTATIVE == "never"
-        track = self.track_values
-        image = self.memory_image
-        dir_entries = self._dir_entries
-        demand = self._demand
-        private_level = self._private_level
-        MOD = S_MODIFIED
-        EXC = S_EXCLUSIVE
-        # repro-lint: disable=P203(shared MESI-family retirement loop also services MEUSI U shapes via inheritance, mirroring access_hot; plain MESI never reaches those branches)
-        UPD = StableState.UPDATE
-
-        # -- per-slot object hoists (indexed by merge slot) --------------------
-        n_slots = len(slot_cores)
-        a_states = [self.core_states[cid] for cid in slot_cores]
-        a_l1 = [self._l1_caches[cid] for cid in slot_cores]
-        a_l2 = [self._l2_caches[cid] for cid in slot_cores]
-        a_l1_sets = [l1.probe_parts()[0] for l1 in a_l1]
-        a_l1_nsets = [l1.probe_parts()[1] for l1 in a_l1]
-        a_l2_sets = [l2.probe_parts()[0] for l2 in a_l2]
-        a_l2_nsets = [l2.probe_parts()[1] for l2 in a_l2]
-        a_slat = [stats.latency for stats in slot_stats]
-        # Chunked column materialization (ndarray -> list) per slot, on demand.
-        a_codes: List[Any] = [None] * n_slots
-        a_addrs: List[Any] = [None] * n_slots
-        a_gaps: List[Any] = [None] * n_slots
-        a_deltas: List[Any] = [None] * n_slots
-        a_base = [0] * n_slots
-        a_cend = [0] * n_slots
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heap = [
-            (slot_clock[s], slot_cores[s], s)
-            for s in range(n_slots)
-            if slot_cursor[s] < slot_limit[s]
-        ]
-        heapq.heapify(heap)
-
-        pk_clock = float("inf")  # earliest parked (conflict) event
-        pk_cid = -1
-        retired = 0
-        n_slow = 0
-        n_parked = 0
-        streak = 0
-
-        while heap:
-            clock, cid, s = heappop(heap)
-            if clock > pk_clock or (clock == pk_clock and cid > pk_cid):
-                # The parked conflict is the next event in heap order: stop
-                # and hand it back for the exact one-at-a-time path.
-                heappush(heap, (clock, cid, s))
-                break
-            if heap:
-                head = heap[0]
-                nxt_clock = head[0]
-                nxt_cid = head[1]
-            else:
-                nxt_clock = pk_clock
-                nxt_cid = pk_cid
-            core_id = cid
-            cursor = slot_cursor[s]
-            limit = slot_limit[s]
-            stats = slot_stats[s]
-            slat = a_slat[s]
-            states = a_states[s]
-            l1 = a_l1[s]
-            l2 = a_l2[s]
-            l1_sets = a_l1_sets[s]
-            l1_nsets = a_l1_nsets[s]
-            l2_sets = a_l2_sets[s]
-            l2_nsets = a_l2_nsets[s]
-            codes_l = a_codes[s]
-            addrs_l = a_addrs[s]
-            gaps_l = a_gaps[s]
-            deltas_l = a_deltas[s]
-            base = a_base[s]
-            cend = a_cend[s]
-
-            while True:
-                if cursor >= cend:
-                    if cursor >= limit:
-                        # Slot exhausted (phase limit): leaves the merge.
-                        slot_cursor[s] = cursor
-                        slot_clock[s] = clock
-                        break
-                    base = cursor
-                    cend = cursor + _FLEET_CHUNK
-                    if cend > limit:
-                        cend = limit
-                    codes_l = a_codes[s] = slot_codes[s][base:cend].tolist()
-                    addrs_l = a_addrs[s] = slot_addrs[s][base:cend].tolist()
-                    gaps_l = a_gaps[s] = slot_gaps[s][base:cend].tolist()
-                    if track:
-                        deltas_l = a_deltas[s] = slot_deltas[s][base:cend].tolist()
-                    a_base[s] = base
-                    a_cend[s] = cend
-                i = cursor - base
-                code = codes_l[i]
-                kind = kind_of[code]
-                address = addrs_l[i]
-                line_addr = address >> line_shift
-                state = states.get(line_addr)
-                is_comm = kind >= 3
-
-                # -- classification: a true conflict parks before any mutation
-                if is_comm:
-                    if comm_never:
-                        park = True
-                    elif comm_local:
-                        entry = dir_entries.get(line_addr)
-                        # Cross-op update: full reduction (conflict).
-                        park = (
-                            entry is not None
-                            and entry.mode is M_UPDATE_ONLY
-                            and entry.op is not code_op[code]
-                        )
-                    else:
-                        park = False
-                elif comm_local:
-                    entry = dir_entries.get(line_addr)
-                    # Demand on an update-only line: reduction (conflict).
-                    park = (
-                        entry is not None and entry.mode is M_UPDATE_ONLY
-                    ) or state is UPD
-                else:
-                    park = False
-                if park:
-                    slot_cursor[s] = cursor
-                    slot_clock[s] = clock
-                    n_parked += 1
-                    if clock < pk_clock or (clock == pk_clock and cid < pk_cid):
-                        pk_clock = clock
-                        pk_cid = cid
-                    break
-
-                gap = gaps_l[i]
-                if kind == 0:
-                    overhead = 0.0
-                    stats.loads += 1
-                elif kind == 1:
-                    overhead = 0.0
-                    stats.stores += 1
-                elif kind == 2:
-                    overhead = atomic_overhead
-                    stats.atomics += 1
-                elif kind == 3:
-                    overhead = commutative_overhead
-                    stats.commutative_updates += 1
-                else:
-                    overhead = commutative_overhead
-                    stats.remote_updates += 1
-                think = gap * cpi
-                issue = clock + think
-
-                # -- inline private probe (same hand-duplicated sequence as the
-                # scalar loop; see CoherenceProtocol._private_level's WARNING)
-                level = None
-                hit_level = 0
-                if state is not None and (True if is_comm else state is not UPD):
-                    cache_set = l1_sets.get(line_addr % l1_nsets)
-                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                        cache_set[line_addr] = True
-                        l1.hits += 1
-                        level = 1
-                    else:
-                        l1.misses += 1
-                        cache_set = l2_sets.get(line_addr % l2_nsets)
-                        if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                            cache_set[line_addr] = True
-                            l2.hits += 1
-                            l1.insert(line_addr)
-                            slot_dirty[s] = True
-                            level = 2
-                        else:
-                            l2.misses += 1
-                            level = 0
-                    if level:
-                        if kind == 0:
-                            if state is not UPD:
-                                hit_level = level
-                        elif state is MOD or state is EXC:
-                            states[line_addr] = MOD
-                            if track:
-                                value = decode_value(code_vk[code], deltas_l[i])
-                                if value is not None:
-                                    if kind == 1:
-                                        image[address] = value
-                                    else:
-                                        op = code_op[code]
-                                        if op is not None:
-                                            current = image.get(address, op.identity)
-                                            image[address] = op.apply(current, value)
-                            if is_comm and comm_local:
-                                sp.stat_local_updates += 1
-                            hit_level = level
-                        elif state is UPD and is_comm and comm_local:
-                            entry = dir_entries.get(line_addr)
-                            op = code_op[code]
-                            if op is not None and entry is not None and entry.op is op:
-                                if track:
-                                    value = decode_value(code_vk[code], deltas_l[i])
-                                    if value is not None:
-                                        sp._buffer_for(core_id, line_addr, op).update(
-                                            address, value
-                                        )
-                                sp.stat_local_updates += 1
-                                hit_level = level
-
-                if hit_level:
-                    slat.l1 += l1_lat
-                    if hit_level == 1:
-                        latency = l1_hit_total
-                    else:
-                        slat.l2 += l2_lat
-                        latency = l2_hit_total
-                    stats.l1_hits += 1
-                    stats.accesses += 1
-                    stats.compute_cycles += think + overhead
-                    stats.memory_cycles += latency
-                    clock = issue + overhead + latency
-                    cursor += 1
-                    retired += 1
-                    streak += 1
-                    if retired >= max_retire or streak >= streak_cap:
-                        slot_cursor[s] = cursor
-                        slot_clock[s] = clock
-                        return retired, n_slow, n_parked
-                    if clock > nxt_clock or (clock == nxt_clock and cid > nxt_cid):
-                        slot_cursor[s] = cursor
-                        slot_clock[s] = clock
-                        heappush(heap, (clock, cid, s))
-                        break
-                    continue
-
-                # ---------------------------------------------------- slow shapes
-                # The same transactions and functional updates as the scalar
-                # probe + resolve_slow sequence at this position.
-                self.current_time = issue
-                slot_dirty[s] = True
-                if level is None:
-                    # Not probed yet (untracked state / update-state demand):
-                    # resolve_slow's exactly-once probe.
-                    private_level(core_id, line_addr)
-                value = (
-                    decode_value(code_vk[code], deltas_l[i])
-                    if (track and kind != 0)
-                    else None
-                )
-                op = code_op[code]
-                if is_comm and comm_local:
-                    # MEUSI GetU shapes (U1-U5; the cross-op U6 parked above).
-                    total = sp._update(core_id, line_addr, op, issue, slat)
-                    if value is not None:
-                        if states.get(line_addr) is MOD:
-                            current = image.get(address, op.identity)
-                            image[address] = op.apply(current, value)
-                        else:
-                            sp._buffer_for(core_id, line_addr, op).update(address, value)
-                else:
-                    # GetS / GetX / upgrade (updates fold into atomic RMWs).
-                    total = demand(core_id, line_addr, kind == 0, state is None, issue, slat)
-                    if value is not None:
-                        if kind == 1:
-                            image[address] = value
-                        elif op is not None:
-                            current = image.get(address, op.identity)
-                            image[address] = op.apply(current, value)
-
-                stats.accesses += 1
-                stats.compute_cycles += think + overhead
-                stats.memory_cycles += total
-                clock = issue + overhead + total
-                cursor += 1
-                retired += 1
-                n_slow += 1
-                streak = 0
-                if retired >= max_retire:
-                    slot_cursor[s] = cursor
-                    slot_clock[s] = clock
-                    return retired, n_slow, n_parked
-                if clock > nxt_clock or (clock == nxt_clock and cid > nxt_cid):
-                    slot_cursor[s] = cursor
-                    slot_clock[s] = clock
-                    heappush(heap, (clock, cid, s))
-                    break
-                # Still the earliest slot: keep retiring its trace in order.
-
-        return retired, n_slow, n_parked

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.commutative import ALL_OPS, CommutativeOp, DeltaBuffer
 
 #: Op -> index in :data:`ALL_OPS`, for the batch-classification contract.
@@ -43,7 +41,6 @@ from repro.core.mesi import (
     S_SHARED,
     MesiProtocol,
 )
-from repro.core.protocol import SHAPE_CONFLICT, SHAPE_FAST, SHAPE_OP_DEPENDENT
 from repro.core.states import StableState
 from repro.interconnect.messages import MessageType
 from repro.sim.access import MemoryAccess
@@ -58,29 +55,6 @@ class MeusiProtocol(MesiProtocol):
 
     name = "COUP"
     HOT_COMMUTATIVE = "local"
-
-    #: Independence classification (mode x kind: load/store/atomic/comm/remote).
-    #: Stable MESI modes keep their flattened twins; GetU joins and grants
-    #: (U1-U5) are flattened too.  Demand accesses to an update-only line and
-    #: cross-op updates trigger full reductions — true conflicts that must
-    #: retire through the exact scalar path — so the update-only row is
-    #: conflict for demand kinds and op-dependent (same-op joins only) for
-    #: commutative/remote updates.
-    SLOW_SHAPE_TABLE = np.array(
-        [
-            [SHAPE_FAST] * 5,  # UNCACHED: cold grants (incl. U1)
-            [SHAPE_FAST] * 5,  # EXCLUSIVE: downgrades / U2 / U3
-            [SHAPE_FAST] * 5,  # READ_ONLY: joins / upgrades / U4
-            [
-                SHAPE_CONFLICT,      # load: full reduction
-                SHAPE_CONFLICT,      # store: full reduction
-                SHAPE_CONFLICT,      # atomic: full reduction
-                SHAPE_OP_DEPENDENT,  # commutative: U5 join iff same op
-                SHAPE_OP_DEPENDENT,  # remote (folded commutative)
-            ],
-        ],
-        dtype=np.uint8,
-    )
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         super().__init__(config, track_values=track_values)

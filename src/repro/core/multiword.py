@@ -22,8 +22,8 @@ an ordinary read-modify-write), which the model exposes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Sequence, Set
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Sequence, Set
 
 
 @dataclass(frozen=True)

@@ -34,18 +34,6 @@ from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
-#: :attr:`CoherenceProtocol.SLOW_SHAPE_TABLE` codes.  ``SHAPE_FAST`` marks a
-#: (mode, kind) pair the engine retires through its flattened group path;
-#: ``SHAPE_OP_DEPENDENT`` marks a pair that is fast only when the access's op
-#: matches the directory entry's op (COUP's same-op U-line joins); and
-#: ``SHAPE_CONFLICT`` marks a true conflict (ownership hand-offs the engine
-#: declines, cross-op serialization, reduction triggers) that must fall back
-#: to the exact scalar ``(clock, core_id)`` order through ``resolve_slow``.
-SHAPE_FAST = 0
-SHAPE_OP_DEPENDENT = 1
-SHAPE_CONFLICT = 2
-
-
 @dataclass(slots=True)
 class AccessOutcome:
     """Result of resolving one memory access through :meth:`CoherenceProtocol.access`.
@@ -86,22 +74,6 @@ class CoherenceProtocol(abc.ABC):
     #: them into atomic read-modify-writes (MESI), ``"local"`` applies COUP's
     #: update-only rules (MEUSI), ``"never"`` forces the slow path (RMO).
     HOT_COMMUTATIVE: str = "atomic"
-
-    #: Whether the batched kernel's group-retirement stage may hand this
-    #: engine stretches of consecutive pending slow accesses via
-    #: :meth:`resolve_slow_batch`.  Engines that set this True MUST implement
-    #: :meth:`resolve_slow_batch`; engines that leave it False must not
-    #: (repro-lint P202 checks the flag <=> method-presence contract).
-    SUPPORTS_SLOW_BATCH: bool = False
-
-    #: Independence classification of (directory mode, access kind) pairs for
-    #: the group-retirement stage, as a 4x5 table of :data:`SHAPE_FAST` /
-    #: :data:`SHAPE_OP_DEPENDENT` / :data:`SHAPE_CONFLICT` codes indexed by
-    #: :data:`repro.core.directory.MODE_UNCACHED`-family mode codes and
-    #: :data:`repro.sim.columnar.CODE_KIND` kinds.  Engines that participate
-    #: override this with their protocol's table; the base marks everything
-    #: a conflict (nothing may be group-retired).
-    SLOW_SHAPE_TABLE: np.ndarray = np.full((4, 5), 2, dtype=np.uint8)
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
         self.config = config
@@ -332,38 +304,6 @@ class CoherenceProtocol(abc.ABC):
         """
         raise NotImplementedError
 
-    def slow_batch_ready(self) -> bool:
-        """Whether group retirement may run for this engine *this run*.
-
-        :attr:`SUPPORTS_SLOW_BATCH` is the static participation flag; this is
-        the per-run precondition.  The flattened retirement paths replicate
-        the contention-free latency tables, so a run with the interconnect
-        contention model enabled (epoch state mutated per off-chip hook call)
-        must take the scalar ``resolve_slow`` path for every slow access.
-
-        Engines that set :attr:`SUPPORTS_SLOW_BATCH` implement
-        ``resolve_slow_batch(slot_cores, slot_codes, slot_addrs, slot_gaps,
-        slot_deltas, slot_cursor, slot_limit, slot_clock, slot_stats,
-        slot_dirty, streak_cap, max_retire)``: a k-way merge over one slot
-        per runnable core (raw column objects plus a cursor/limit/clock
-        triple each) that retires accesses in the **canonical order** — the
-        exact ascending ``(clock, core id)`` order of the scalar scheduler's
-        heap — until every live slot is *parked* on a conflict-shaped access
-        and the earliest parked event is next in that order, or a cap trips
-        (``streak_cap`` consecutive private hits, ``max_retire`` total).
-        Parking happens *before* any mutation for the parked access.  The
-        engine writes retired cursors/clocks back into the slot lists, sets
-        ``slot_dirty[s]`` for any slot whose private-cache **membership**
-        changed (fills, evictions, promotions — L1-hit LRU refreshes do not
-        count), and returns ``(retired, n_slow, n_parked)``.  Every retired
-        access must be bit-identical — same statistics, directory/cache
-        mutations, traffic, and functional values — to what the scalar
-        loop's probe + ``resolve_slow`` sequence would have produced at the
-        same position, and touched (core, line) pairs must be reported
-        through :attr:`touched_cores` exactly as the scalar path does.
-        """
-        return self.SUPPORTS_SLOW_BATCH and self.interconnect.contention is None
-
     def hot_mask(
         self,
         kinds: np.ndarray,
@@ -446,11 +386,10 @@ class CoherenceProtocol(abc.ABC):
         WARNING: this probe is intentionally hand-duplicated for speed.  The
         copies are:
 
-        * here (also called by every engine's ``resolve_slow`` and by the
-          group-retirement merge for accesses nobody probed yet);
+        * here (also called by every engine's ``resolve_slow`` for accesses
+          the caller did not probe);
         * the inline block in ``MulticoreSimulator._run_columnar_scalar``;
-        * ``BatchedKernel._execute_one``;
-        * the hit probe in ``MesiProtocol.resolve_slow_batch``.
+        * ``BatchedKernel._execute_one``.
 
         Any change to probe semantics must be applied to all of them; the
         golden-equivalence suite (tests/sim/test_golden_equivalence.py)

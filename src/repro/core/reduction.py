@@ -14,7 +14,7 @@ partial and full reductions (Sec. 3.1.1).  It has two roles here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.commutative import CommutativeOp, DeltaBuffer, reduce_partial_updates
 from repro.sim.config import ReductionUnitConfig

@@ -15,10 +15,7 @@ and serves as the hardware counterpart of the delegation software baseline.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.mesi import A_COMMUTATIVE, A_REMOTE, S_INVALID, MesiProtocol
-from repro.core.protocol import SHAPE_CONFLICT
 from repro.interconnect.messages import MessageType
 from repro.sim.access import MemoryAccess
 from repro.sim.config import SystemConfig
@@ -35,13 +32,6 @@ class RmoProtocol(MesiProtocol):
     #: bank-ALU queue (``_bank_busy_until``) is therefore only touched from
     #: the globally ordered slow path, which keeps batching bit-identical.
     HOT_COMMUTATIVE = "never"
-    #: The bank-ALU queue serializes every update at its home bank, and even
-    #: loads/stores can race with a remote update's requester-copy
-    #: invalidations, so no RMO transaction shape is independent: group
-    #: retirement stays disabled and every slow access takes the exact
-    #: scalar heap order.
-    SUPPORTS_SLOW_BATCH = False
-    SLOW_SHAPE_TABLE = np.full((4, 5), SHAPE_CONFLICT, dtype=np.uint8)
 
     #: Cycles the home bank ALU is occupied per remote update.
     REMOTE_ALU_CYCLES = 4.0

@@ -15,7 +15,7 @@ Both can be set as environment variables or overridden programmatically via
 
 This module also hosts :data:`ENV_KNOBS`, the registry of **every**
 ``REPRO_*`` environment knob the reproduction honours — including knobs
-consumed elsewhere (the kernel's ``REPRO_SIM_KERNEL`` / ``REPRO_SLOW_BATCH``).
+consumed elsewhere (the kernel's ``REPRO_SIM_KERNEL``).
 The registry is the single source of truth: the static checker
 (``python -m repro.lint``, rule H303) rejects any ``REPRO_*`` read whose
 name is not registered here, and requires each registered knob to be
@@ -67,13 +67,6 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         default="auto",
         domain="auto | batch | scalar",
         description="Simulation kernel selection: batched, scalar, or adaptive.",
-        consumer="repro.sim.kernel",
-    ),
-    EnvKnob(
-        name="REPRO_SLOW_BATCH",
-        default="auto",
-        domain="auto | off",
-        description="Group retirement of slow accesses: merged fleet or one-at-a-time.",
         consumer="repro.sim.kernel",
     ),
     EnvKnob(

@@ -14,7 +14,7 @@ neither a hit nor an eviction stamps, allocates or scans anything.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -74,21 +74,6 @@ class SetAssociativeCache:
         """Return whether the line is resident, without touching LRU or statistics."""
         cache_set = self._sets.get(line_addr % self._num_sets)
         return cache_set is not None and line_addr in cache_set
-
-    def probe_parts(self) -> Tuple[Dict[int, Dict[int, bool]], int]:
-        """``(sets, num_sets)`` for hoisted inline probes (flattened engines).
-
-        The retirement engines resolve millions of lookups per run, so they
-        hoist the set dictionary and modulus once and inline the probe
-        instead of paying a method call per access.  Contract for callers:
-        a *hit* must replay :meth:`lookup` exactly — pop the line from its
-        set and re-insert it (``cache_set.pop(addr, None) is not None``,
-        then ``cache_set[addr] = True``) and increment :attr:`hits` — and a
-        *miss* only increments :attr:`misses`; otherwise LRU order and hit
-        statistics drift from the scalar path and bit-identity breaks.  The
-        returned dictionary is live shared state, never a copy.
-        """
-        return self._sets, self._num_sets
 
     def insert(self, line_addr: int) -> Optional[int]:
         """Insert a line as most recently used; return the evicted line, if any.

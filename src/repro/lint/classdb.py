@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Base names that are well-known attribute-free (for our purposes) roots.
 OPAQUE_BASES: frozenset = frozenset(

@@ -25,7 +25,7 @@ rules check against the single source of truth rather than a copy.
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 #: Directories whose modules can affect simulation results.
 RESULT_AFFECTING_PREFIXES: Tuple[str, ...] = (

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint import suppressions as suppression_mod
 from repro.lint.classdb import ClassDb

@@ -9,13 +9,12 @@ contracts the batched kernel and the verification model rely on.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lint.classdb import ClassDb
 from repro.lint.context import (
     ENGINE_STATE_ALPHABET,
     HOT_COMMUTATIVE_VALUES,
-    PROTOCOL_ENGINE_MODULES,
     ProjectContext,
 )
 from repro.lint.engine import Rule, SourceModule
@@ -26,10 +25,6 @@ from repro.lint.violations import Violation
 _HOT_MASK_PROVIDERS = frozenset(
     {"CoherenceProtocol", "MesiProtocol", "MeusiProtocol", "RmoProtocol"}
 )
-
-#: Base classes known to provide the group-retirement merge
-#: (:meth:`MesiProtocol.resolve_slow_batch` services the MESI family).
-_SLOW_BATCH_PROVIDERS = frozenset({"MesiProtocol", "MeusiProtocol"})
 
 
 class UnknownEnumMemberRule(Rule):
@@ -79,18 +74,9 @@ class BatchContractRule(Rule):
     inherited from the MESI family), a legal
     ``HOT_COMMUTATIVE`` folding mode, and — for ``"local"`` folding —
     a ``batch_uop_code`` hook so U-line buffering can be classified per
-    chunk.
-
-    The group-retirement participation flag carries its own biconditional:
-    ``SUPPORTS_SLOW_BATCH = True`` requires a ``resolve_slow_batch`` merge
-    (own or inherited from the MESI family), and a class that *defines*
-    ``resolve_slow_batch`` while declaring ``SUPPORTS_SLOW_BATCH = False``
-    is lying to the kernel's dispatch (the method would never run).  A
-    run-level check additionally verifies the 104-entry columnar type-code
-    table still covers every code the kernel classifies, and that every
-    live ``SUPPORTS_SLOW_BATCH`` engine exposes a callable
-    ``resolve_slow_batch`` plus the 4x5 ``SLOW_SHAPE_TABLE`` the entry
-    gate indexes.
+    chunk.  A run-level check additionally verifies the 104-entry columnar
+    type-code table still covers every code the kernel classifies, and
+    that every live batch engine exposes those hooks.
     """
 
     code = "P202"
@@ -98,8 +84,7 @@ class BatchContractRule(Rule):
     description = (
         "SUPPORTS_BATCH_KERNEL protocols must declare the full batch "
         "contract (hot_mask, legal HOT_COMMUTATIVE, "
-        "batch_uop_code for local folding, resolve_slow_batch iff "
-        "SUPPORTS_SLOW_BATCH)"
+        "batch_uop_code for local folding)"
     )
 
     def applies(self, relpath: str) -> bool:
@@ -153,33 +138,6 @@ class BatchContractRule(Rule):
                     f"{node.name}: HOT_COMMUTATIVE='local' requires a "
                     "batch_uop_code(core_id, line_addr) hook so the kernel can "
                     "classify U-line buffering per chunk",
-                )
-            )
-
-        slow_batch = flags.get("SUPPORTS_SLOW_BATCH")
-        inherits_slow_batch = bool(base_names & _SLOW_BATCH_PROVIDERS)
-        if (
-            slow_batch is True
-            and "resolve_slow_batch" not in methods
-            and not inherits_slow_batch
-        ):
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: SUPPORTS_SLOW_BATCH=True but no "
-                    "resolve_slow_batch merge is defined or inherited from "
-                    "the MESI family",
-                )
-            )
-        if slow_batch is False and "resolve_slow_batch" in methods:
-            findings.append(
-                self.violation(
-                    module,
-                    node,
-                    f"{node.name}: defines resolve_slow_batch but declares "
-                    "SUPPORTS_SLOW_BATCH=False — the kernel would never call "
-                    "it; flip the flag or drop the method",
                 )
             )
 
@@ -266,21 +224,6 @@ class BatchContractRule(Rule):
                 getattr(protocol_cls, "batch_uop_code", None)
             ):
                 problems.append("local folding without batch_uop_code")
-            if getattr(protocol_cls, "SUPPORTS_SLOW_BATCH", False):
-                if not callable(getattr(protocol_cls, "resolve_slow_batch", None)):
-                    problems.append(
-                        "SUPPORTS_SLOW_BATCH without a callable resolve_slow_batch"
-                    )
-                table = getattr(protocol_cls, "SLOW_SHAPE_TABLE", None)
-                if getattr(table, "shape", None) != (4, 5):
-                    problems.append(
-                        "SUPPORTS_SLOW_BATCH without a 4x5 SLOW_SHAPE_TABLE "
-                        "(line modes x access kinds)"
-                    )
-            elif "resolve_slow_batch" in vars(protocol_cls):
-                problems.append(
-                    "defines resolve_slow_batch but SUPPORTS_SLOW_BATCH is False"
-                )
             if problems:
                 findings.append(
                     Violation(

@@ -8,7 +8,7 @@ Three modes, selected by the ``REPRO_OBS`` environment knob (registered in
   single ``is None`` guard on a slow path.  Gated at <=1% overhead on the
   paper grid by ``benchmarks/test_obs.py``.
 * ``counters`` — integer counters only (stint transitions, bail reasons,
-  merge-gate causes, cache hits, worker lifecycle); no host-clock reads
+  cache hits, worker lifecycle); no host-clock reads
   beyond the campaign fabric's existing ones.
 * ``full`` — counters plus phase timing histograms (slow-event boundary
   phases, journal append latency) and JSONL event segments under

@@ -213,7 +213,7 @@ def profile_summary(
     fold: Mapping[str, object], top_phases: int = 5
 ) -> Dict[str, object]:
     """Compact profile for ``summary.json``: top boundary-phase costs plus
-    bail-reason and merge-gate counter groups."""
+    the bail-reason counter group."""
     phases = fold.get("phases")
     counters = fold.get("counters")
     phase_rows: List[Dict[str, object]] = []
@@ -251,6 +251,5 @@ def profile_summary(
 
     return {
         "bail_reasons": counter_group("kernel.bail."),
-        "merge_gate": counter_group("kernel.merge."),
         "top_phases": phase_rows,
     }

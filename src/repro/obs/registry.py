@@ -21,7 +21,7 @@ The contract that keeps telemetry safe:
   :func:`repro.obs.get_registry` returns ``None`` and every instrumented
   site reduces to one attribute load plus an ``is None`` test — and those
   sites live exclusively on slow paths (stint boundaries, slow-event
-  resolution, merge gates), never in the per-access hot loops.
+  resolution), never in the per-access hot loops.
 """
 
 from __future__ import annotations

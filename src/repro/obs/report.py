@@ -7,9 +7,8 @@ directory and prints three views:
   seconds, mean and approximate p50/p95 microseconds (from the log2
   histogram).  This is the direct answer to ROADMAP item 1's "where does
   the ~100us/event go" profiling ask.
-* **Counter Pareto** — bail reasons and merge-gate accept/decline causes
-  ranked by frequency with cumulative percentages, so the dominant
-  decline cause on a conflict-dense point is the first line.
+* **Counter Pareto** — the kernel's bail reasons ranked by frequency with
+  cumulative percentages, so the dominant reason is the first line.
 * **Worker timeline** — the campaign fabric's lifecycle events
   (spawn/dispatch/complete/fail/quarantine) in chronological order per
   worker.
@@ -124,10 +123,6 @@ def render(fold: Mapping[str, object]) -> str:
         out.append("")
     profile = profile_summary(fold)
     bail = profile.get("bail_reasons")
-    gate = profile.get("merge_gate")
-    if isinstance(gate, dict) and gate:
-        _pareto("Merge-gate accept/decline Pareto", gate, out)
-        out.append("")
     if isinstance(bail, dict) and bail:
         _pareto("Bail-reason Pareto", bail, out)
         out.append("")

@@ -66,12 +66,16 @@ Fallback
 The kernel handles engines that opt in via
 :attr:`CoherenceProtocol.SUPPORTS_BATCH_KERNEL`; everything else uses the
 scalar loop.  ``REPRO_SIM_KERNEL`` selects ``auto`` (default), ``batch``
-(always batch), or ``scalar`` (never batch).  In ``auto`` the kernel and the
+(always batch), or ``scalar`` (never batch).  In ``auto`` every run opens
+with a short scalar *cold-start* stint over a bounded decoded prefix of each
+core's trace, so the cold misses every run begins with never reach the
+kernel's probation; the kernel takes over on the first long global hit
+streak or when a core exhausts its prefix.  From then on the kernel and the
 scalar loop alternate on identical state: per probation interval the kernel
 weighs the hits it batched against the slow events it paid for, and bails
 out when a stretch of the workload is too slow-path-heavy to batch; the
 scalar loop hands hot stretches (long global hit streaks) back — see
-``MulticoreSimulator._run_columnar``.  Both decisions read only simulation
+``MulticoreSimulator._run_columnar``.  Every decision reads only simulation
 counters, never a host clock, so a trace takes the same path on every host.
 """
 
@@ -82,8 +86,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.directory import DirectoryArray
-from repro.core.protocol import SHAPE_CONFLICT, SHAPE_OP_DEPENDENT
 from repro.core.states import StableState
 from repro.hierarchy.cache import (
     STATE_ABSENT,
@@ -141,8 +143,7 @@ _EXACT_CLOCK_LIMIT = float(1 << 44)
 #: counters, so the same trace takes the same kernel/scalar path on every
 #: host.  Every ``BAIL_INTERVAL`` slow events the kernel weighs the hits it
 #: batched in the interval against the slow events it paid for.  The
-#: constants come from per-access costs measured once (16-core traces,
-#: ``REPRO_SLOW_BATCH=off``):
+#: constants come from per-access costs measured once on 16-core traces:
 #:
 #: * The scalar loop retires a private hit for ~1.5 µs; the kernel retires
 #:   one inside a vectorized hit-run for ~0.15 µs.  Each batched hit saves
@@ -151,6 +152,12 @@ _EXACT_CLOCK_LIMIT = float(1 << 44)
 #:   over every runnable core: each one's hit-run is cut at the event and
 #:   applied as a fragment, ~5-10 µs per fragment.  So the kernel's extra
 #:   cost per slow event grows with the runnable cores, ~6 µs each.
+#: * A scalar slow event costs ~6 µs in all.  A kernel slow event that
+#:   disturbs the executing core's window also pays its lazy
+#:   reclassification: on a one-core histogram point (4,157 slow events,
+#:   8.6 batched hits per event) ``eval_mask`` cost ~50 µs a call and
+#:   ``clean_prefix`` ~100 µs, and the kernel took 0.56-0.73 s against the
+#:   scalar loop's 0.08-0.12 s.  Such a point must bail, not linger.
 #:
 #: Break-even is therefore ~6 / 1.35, rounded to ``BAIL_HITS_PER_CORE_EVENT``
 #: batched hits per slow event per runnable core.  An interval below it is a
@@ -158,23 +165,22 @@ _EXACT_CLOCK_LIMIT = float(1 << 44)
 #: ``BAIL_STRIKES`` consecutive strikes hand the run to the scalar loop (in
 #: conflict-dense stretches a kernel slow event, with the reclassification
 #: it triggers, measured 30-100x a scalar one, so a losing stint must not
-#: linger for a full interval).  An interval with
-#: fewer batched hits than slow events bails at once: the kernel loses on
-#: every event and, on short traces, each wasted interval is a measurable
-#: fraction of the run.  Judging per interval, not cumulatively, lets a
-#: workload's miss-heavy warm-up reach its hit-run regime instead of being
-#: condemned by its first thousand accesses.
+#: linger for a full interval).  An interval with fewer batched hits than
+#: slow events bails at once: the kernel loses on every event and, on short
+#: traces, each wasted interval is a measurable fraction of the run.
+#: Judging per interval, not cumulatively, lets a workload's miss-heavy
+#: stretches pass without condemning the hit-run regime that follows them;
+#: the run's opening cold misses never reach probation at all, because
+#: ``auto`` retires them in the scalar cold-start stint
+#: (``repro.sim.simulator.COLD_START_ACCESSES``).
 BAIL_INTERVAL = 64
 BAIL_STRIKES = 2
 BAIL_HITS_PER_CORE_EVENT = 5
 
 #: The very first probation check of a stint fires after this many slow
 #: events instead of a full ``BAIL_INTERVAL``: a stint entering a
-#: conflict-dense stretch (group retirement's entry gate failing, every
-#: boundary access paying full mask-repair cost) should hand off after a
-#: handful of events, not sixty-four of them.  A productive group-retirement
-#: call resets probation to the full interval and clears any strike, so
-#: healthy stints are never judged on the short window.
+#: conflict-dense stretch (every boundary access paying full mask-repair
+#: cost) should hand off after a handful of events, not sixty-four of them.
 BAIL_PROBE = 16
 
 _VALID_MODES = ("auto", "batch", "scalar")
@@ -184,54 +190,6 @@ def kernel_mode() -> str:
     """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset)."""
     mode = os.environ.get("REPRO_SIM_KERNEL", "auto").strip().lower()
     return mode if mode in _VALID_MODES else "auto"
-
-
-_SLOW_BATCH_MODES = ("auto", "off")
-
-#: Minimum number of *independence-classified* parked slow events (the best
-#: event plus at least one other) before the group-retirement merge is
-#: entered; with a single pending event the scalar boundary path is already
-#: optimal and the merge's per-call setup would be pure overhead.
-FLEET_MIN_PARKED = 2
-
-#: Consecutive hit retirements after which the merge returns (scaled up with
-#: the slot count): hit-dense stretches belong to the vectorized window
-#: pipeline, which retires them an order of magnitude faster than the
-#: merge's inline probe.
-FLEET_STREAK_BASE = 64
-
-#: Upper bound on one merge call, so the scheduler regains control (window
-#: reclassification, probation) at a bounded period.
-FLEET_MAX_RETIRE = 65536
-
-#: Slow events per participating slot a merge call must retire to count as
-#: productive.  An unproductive call (hit-dense or conflict-dense stretch)
-#: starts a cooldown — the merge is not attempted again for the next
-#: ``_fleet_backoff`` slow events — and the backoff doubles up to
-#: :data:`FLEET_COOLDOWN_MAX` while calls stay unproductive, so a workload
-#: phase the merge cannot help costs a geometrically vanishing overhead.
-FLEET_MIN_YIELD = 4
-FLEET_COOLDOWN = 64
-FLEET_COOLDOWN_MAX = 4096
-
-#: Cooldown after the vectorized entry gate predicts a conflict.  The gate
-#: itself is a few microseconds of numpy, so unlike a wasted engine call it
-#: earns only a small flat cooldown: conflict predictions are transient
-#: (one reduction, one cross-op stretch) and backing off exponentially was
-#: measured to starve the merge on workloads that alternate regimes.
-FLEET_GATE_COOLDOWN = 8
-
-
-def slow_batch_mode() -> str:
-    """Group retirement from ``REPRO_SLOW_BATCH`` (``auto`` when unset).
-
-    ``auto`` retires independent slow accesses in groups via
-    :meth:`CoherenceProtocol.resolve_slow_batch` whenever the engine declares
-    support; ``off`` forces the exact one-at-a-time boundary path.  Both are
-    bit-identical — the switch exists for A/B timing and debugging.
-    """
-    mode = os.environ.get("REPRO_SLOW_BATCH", "auto").strip().lower()
-    return mode if mode in _SLOW_BATCH_MODES else "auto"
 
 
 def _dyadic(value: float, bits: int = 8) -> bool:
@@ -369,13 +327,6 @@ class BatchedKernel:
         "_comm_local",
         "_comm_never",
         "_resolve_slow",
-        "_slow_batch",
-        "_resolve_slow_batch",
-        "_shape_table",
-        "_dir_array",
-        "_dir_stale",
-        "_fleet_cooldown",
-        "_fleet_backoff",
         "_max_window",
         "_min_window",
         "_exact",
@@ -471,27 +422,6 @@ class BatchedKernel:
         self._comm_never = protocol.HOT_COMMUTATIVE == "never"
         self._resolve_slow = protocol.resolve_slow
 
-        # Group retirement (slow-path batching): engines that declare
-        # independence-classified transaction shapes retire whole stretches
-        # of the simulation — all runnable cores merged in exact
-        # (clock, core_id) heap order — in one flattened call, with the
-        # vectorized directory mirror gating entry (see _retire_fleet).
-        self._slow_batch = slow_batch_mode() != "off" and protocol.slow_batch_ready()
-        if self._slow_batch:
-            protocol.slow_batch_begin(
-                self._cpi, self._atomic_overhead, self._commutative_overhead
-            )
-            self._resolve_slow_batch = protocol.resolve_slow_batch
-            self._shape_table = protocol.SLOW_SHAPE_TABLE
-            self._dir_array = DirectoryArray(n_cores)
-        else:
-            self._resolve_slow_batch = None
-            self._shape_table = None
-            self._dir_array = None
-        self._dir_stale: set = set()
-        self._fleet_cooldown = 0
-        self._fleet_backoff = FLEET_COOLDOWN
-
         self._max_window = DEFAULT_BATCH_SIZE
         self._min_window = min(MIN_WINDOW, self._max_window)
         for core in self.cores:
@@ -526,16 +456,13 @@ class BatchedKernel:
 
         # Telemetry (repro.obs).  Both handles are None when REPRO_OBS=off;
         # every instrumented site below guards on that and sits exclusively
-        # on slow paths (stint boundaries, slow-event resolution, merge
-        # gates) — never inside _apply's per-access hot loops.  Timing reads
-        # route through the registry's clock (the sanctioned wall-clock
-        # island); nothing recorded here ever feeds a SimulationResult.
+        # on slow paths (stint boundaries, slow-event resolution) — never
+        # inside _apply's per-access hot loops.  Timing reads route through
+        # the registry's clock (the sanctioned wall-clock island); nothing
+        # recorded here ever feeds a SimulationResult.  Stint entries are
+        # counted by the dispatcher (MulticoreSimulator._run_columnar).
         self._obs = _obs.get_registry()
         self._obs_timing = _obs.timing_registry()
-        if self._obs is not None:
-            self._obs.inc(
-                "kernel.stint.resume" if resume is not None else "kernel.stint.enter"
-            )
 
     # ------------------------------------------------------------ tag mirrors
 
@@ -1206,11 +1133,6 @@ class BatchedKernel:
             # (invalidations, downgrades) — all reported via _set_state as
             # (core, line) pairs, repaired way-in-place.
             self_sets = {line_addr % self._l1_num_sets}
-            if self._slow_batch:
-                dir_stale = self._dir_stale
-                dir_stale.add(line_addr)
-                for _touched_id, touched_line in touched:
-                    dir_stale.add(touched_line)
             if touched:
                 cores = self.cores
                 n_cores = self.n_cores
@@ -1327,9 +1249,36 @@ class BatchedKernel:
         side = "right" if core.core_id < best_id else "left"
         return int(np.searchsorted(core.pop_clocks, best_clock, side=side))
 
+    def _earliest_event(self, runnable: List[_BatchCore]) -> Optional[_BatchCore]:
+        """The core parked at the earliest potential event, in scalar order.
+
+        Replays the scalar heap's ``(clock, core_id)`` tuple order over the
+        cores' classified run ends; cores draining into their limit have no
+        event.  ``None`` when no runnable core has one.
+        """
+        best = None
+        for core in runnable:
+            if core.end_reason == "limit":
+                continue
+            if (
+                best is None
+                or core.slow_priority < best.slow_priority
+                or (
+                    core.slow_priority == best.slow_priority
+                    and core.core_id < best.core_id
+                )
+            ):
+                best = core
+        return best
+
     def run(self) -> Optional[Tuple]:
         """Simulate to completion (``None``) or hand off to the scalar loop."""
         cores = self.cores
+        # Consecutive restarts of the event selection that moved nothing.
+        # Each honest restart reclassifies one core and so reveals its event;
+        # more restarts than runnable cores means the selection disagrees
+        # with the boundary walk's order and would spin forever.
+        stalls = 0
         while True:
             runnable = [c for c in cores if not c.done and not c.at_barrier]
             if not runnable:
@@ -1345,17 +1294,7 @@ class BatchedKernel:
                 self._release_barrier(waiters)
                 continue
 
-            if (
-                not self.force
-                and self._slow_events >= self._bail_next
-                and (not self._slow_batch or self._fleet_cooldown > 0)
-            ):
-                # Probation is deferred while a group-retirement attempt is
-                # pending (cooldown expired): a productive merge resets the
-                # interval, and judging the stint before the entry gate has
-                # even ruled would bail exactly the runs the merge wins.  A
-                # failed gate or unproductive merge sets a cooldown, so the
-                # check resumes on the next iteration for hostile stretches.
+            if not self.force and self._slow_events >= self._bail_next:
                 reason = self._judge_interval(len(runnable))
                 if reason is not None:
                     if self._obs is not None:
@@ -1366,20 +1305,7 @@ class BatchedKernel:
                 if not core.class_valid:
                     self._classify(core)
 
-            # The earliest potentially-slow event, in scalar (clock, id) order.
-            best = None
-            for core in runnable:
-                if core.end_reason == "limit":
-                    continue
-                if (
-                    best is None
-                    or core.slow_priority < best.slow_priority
-                    or (
-                        core.slow_priority == best.slow_priority
-                        and core.core_id < best.core_id
-                    )
-                ):
-                    best = core
+            best = self._earliest_event(runnable)
 
             if best is None:
                 # No pending slow events: every runnable core just drains its
@@ -1397,26 +1323,14 @@ class BatchedKernel:
                 self._classify(best)
                 continue
 
-            # A real slow access at (best_clock, best_id).  If at least one
-            # other parked event is independence-classified too, hand the
-            # whole fleet of runnable cores to the engine's k-way merge,
-            # which replays the exact (clock, core_id) heap order across
-            # them in one flattened call (see _retire_fleet).
-            if self._slow_batch:
-                if self._fleet_cooldown > 0:
-                    self._fleet_cooldown -= 1
-                    if self._obs is not None:
-                        self._obs.inc("kernel.merge.decline.cooldown")
-                elif self._retire_fleet(runnable, best):
-                    continue
-
-            # Scalar boundary path: advance every other core through exactly
-            # the hits that precede the event; a window reload along the way
-            # can reveal an even earlier event, in which case restart the
-            # selection.
+            # A real slow access at (best_clock, best_id): advance every
+            # other core through exactly the hits that precede the event; a
+            # window reload along the way can reveal an even earlier event,
+            # in which case restart the selection.
             best_clock = best.slow_priority
             best_id = best.core_id
-            earlier_event = False
+            hits_mark = self._hits_batched
+            earlier = None
             for core in runnable:
                 if core is best:
                     continue
@@ -1442,12 +1356,24 @@ class BatchedKernel:
                     if core.slow_priority < best_clock or (
                         core.slow_priority == best_clock and core.core_id < best_id
                     ):
-                        earlier_event = True
+                        earlier = core
                     break
-                if earlier_event:
+                if earlier is not None:
                     break
-            if earlier_event:
+            if earlier is not None:
+                if self._hits_batched != hits_mark:
+                    stalls = 0
+                else:
+                    stalls += 1
+                    if stalls > len(runnable):
+                        raise RuntimeError(
+                            f"batched kernel made no progress in {stalls} event "
+                            f"selections: it picked core {best_id} at "
+                            f"{best_clock!r}, but core {earlier.core_id} is "
+                            f"parked earlier at {earlier.slow_priority!r}"
+                        )
                 continue
+            stalls = 0
 
             self._apply(best, best.hot_len)
             obs_timing = self._obs_timing
@@ -1459,196 +1385,8 @@ class BatchedKernel:
                 self._execute_one(best)
             self._slow_events += 1
 
-    def _retire_fleet(self, runnable: List[_BatchCore], best: _BatchCore) -> bool:
-        """Merge-retire every runnable core's pending accesses in one call.
-
-        The scheduler found a real slow event at ``best``; instead of walking
-        the boundary one event at a time, hand the whole fleet of runnable
-        cores to the engine's ``resolve_slow_batch``, which replays the exact
-        scalar ``(clock, core_id)`` heap order across them with a k-way merge
-        — bit-identical by construction — and only returns at a true conflict
-        boundary (or a hit-streak / retirement cap).  Entry is gated by the
-        :class:`DirectoryArray` mirror: the pending parked accesses of all
-        slow-parked cores are classified with one vectorized
-        ``SLOW_SHAPE_TABLE[mode, kind]`` lookup (plus the op-match rule for
-        op-dependent shapes), and the merge is entered only when the best
-        event and at least one other parked event classify independent.  The
-        mirror is advisory — the engine re-derives every shape from the
-        object directory before mutating — so staleness can only cost a
-        wasted entry, never exactness.
-
-        Returns ``True`` when the merge retired at least one access (the
-        scheduler restarts from fresh classifications); ``False`` leaves
-        every core untouched for the exact scalar boundary path.
-        """
-        # Cheap count gate first: with fewer than two parked events the merge
-        # cannot beat the scalar path (checked before any numpy work).
-        parked = [core for core in runnable if core.end_reason == "slow"]
-        obs_reg = self._obs
-        if len(parked) < FLEET_MIN_PARKED:
-            if obs_reg is not None:
-                obs_reg.inc("kernel.merge.decline.few_parked")
-            return False
-
-        # Vectorized entry gate over the parked accesses (advisory mirror).
-        darr = self._dir_array
-        directory = self.protocol.directory
-        if self._dir_stale:
-            darr.sync_lines(self._dir_stale, directory)
-            self._dir_stale.clear()
-        codes_col = self.codes_col
-        addrs_col = self.addrs_col
-        idxs = [
-            core.next_index + core.hot_len - core.applied for core in parked
-        ]
-        codes_g = np.array(
-            [codes_col[core.core_id][i] for core, i in zip(parked, idxs)]
-        )
-        lines_g = (
-            np.array(
-                [addrs_col[core.core_id][i] for core, i in zip(parked, idxs)],
-                dtype=np.uint64,
-            )
-            >> self._shift_u64
-        )
-        rows = darr.rows_for(lines_g, directory)
-        shapes = self._shape_table[darr.mode[rows], CODE_KIND[codes_g]]
-        ok = shapes != SHAPE_CONFLICT
-        opdep = shapes == SHAPE_OP_DEPENDENT
-        if opdep.any():
-            ok &= ~opdep | (darr.op[rows] == CODE_OP_INDEX[codes_g])
-        best_ok = False
-        n_ok = 0
-        for k, core in enumerate(parked):
-            if ok[k]:
-                n_ok += 1
-                if core is best:
-                    best_ok = True
-        if not best_ok or n_ok < FLEET_MIN_PARKED:
-            self._fleet_cooldown = FLEET_GATE_COOLDOWN
-            if obs_reg is not None:
-                obs_reg.inc("kernel.merge.decline.gate_conflict")
-            return False
-
-        slots = [core for core in runnable if core.next_index < core.limit]
-        if len(slots) < FLEET_MIN_PARKED:  # unreachable: parked cores qualify
-            return False
-
-        n_slots = len(slots)
-        cursors = [core.next_index for core in slots]
-        clocks = [core.clock for core in slots]
-        limits = [core.limit for core in slots]
-        dirty = [False] * n_slots
-        core_stats = self.core_stats
-        gaps_col = self.gaps_col
-        deltas_col = self.deltas_col
-        touched = self._touched
-        touched.clear()
-        obs_timing = self._obs_timing
-        if obs_timing is not None:
-            _obs_t0 = obs_timing.clock()
-        retired, n_slow, _n_parked = self._resolve_slow_batch(
-            [core.core_id for core in slots],
-            [codes_col[core.core_id] for core in slots],
-            [addrs_col[core.core_id] for core in slots],
-            [gaps_col[core.core_id] for core in slots],
-            [deltas_col[core.core_id] for core in slots],
-            cursors,
-            limits,
-            clocks,
-            [core_stats[core.core_id] for core in slots],
-            dirty,
-            max(FLEET_STREAK_BASE, 4 * n_slots),
-            FLEET_MAX_RETIRE,
-        )
-        if obs_timing is not None:
-            obs_timing.observe("resolve_slow_batch", obs_timing.clock() - _obs_t0)
-        if retired == 0:
-            # Every slot parked (or sat beyond the bound) before mutating
-            # anything: nothing moved, so fall back without any repair.
-            self._fleet_cooldown = self._fleet_backoff
-            self._fleet_backoff = min(self._fleet_backoff * 2, FLEET_COOLDOWN_MAX)
-            if obs_reg is not None:
-                obs_reg.inc("kernel.merge.decline.merge_empty")
-            return False
-
-        # Write back the slot cursors.  Slots whose private-cache membership
-        # changed (fills, evictions, L2->L1 promotions) rebuild their tag
-        # mirror; slots that only retired L1 hits keep mirror and window
-        # (LRU refreshes don't change membership) and merely re-extract.
-        for k, core in enumerate(slots):
-            if cursors[k] == core.next_index and not dirty[k]:
-                continue
-            core.next_index = cursors[k]
-            core.clock = clocks[k]
-            core.class_valid = False
-            if dirty[k]:
-                core.stale = True
-                core.mask = None
-
-        # Mirror repair for everything else the merge's transactions moved:
-        # the touched feed reports every (core, line) a slow transaction or
-        # eviction changed — same coverage rules as _execute_one (dirty
-        # slots are already stale, so they fall through to the cheap arm).
-        dir_stale = self._dir_stale
-        if obs_timing is not None:
-            _obs_t0 = obs_timing.clock()
-        if touched:
-            cores = self.cores
-            n_cores = self.n_cores
-            core_states = self._core_states
-            state_code_of = _STATE_CODE
-            protocol = self.protocol
-            for touched_id, touched_line in touched:
-                dir_stale.add(touched_line)
-                if touched_id >= n_cores:
-                    continue
-                other = cores[touched_id]
-                if not other.stale:
-                    new_code = state_code_of[
-                        core_states[touched_id].get(touched_line)
-                    ]
-                    uop = UOP_NONE
-                    if new_code == STATE_UPDATE and self._comm_local:
-                        uop = protocol.batch_uop_code(touched_id, touched_line)
-                    other.tags.update_line(touched_line, new_code, uop)
-                    self._repair_mask_line(other, touched_line)
-                else:
-                    other.class_valid = False
-                    other.mask = None
-            touched.clear()
-
-        if obs_timing is not None:
-            obs_timing.observe("mask_repair", obs_timing.clock() - _obs_t0)
-
-        self._slow_events += n_slow
-        self._hits_batched += retired - n_slow
-        if n_slow < FLEET_MIN_YIELD * n_slots:
-            self._fleet_cooldown = self._fleet_backoff
-            self._fleet_backoff = min(self._fleet_backoff * 2, FLEET_COOLDOWN_MAX)
-            if obs_reg is not None:
-                obs_reg.inc("kernel.merge.accept.unproductive")
-                obs_reg.inc("kernel.merge.retired", retired)
-        else:
-            # A productive call is the kernel winning outright, like a
-            # passing interval: clear the strikes and judge only the
-            # boundary work around it, from a fresh full interval.
-            self._fleet_backoff = FLEET_COOLDOWN
-            self._bail_strikes = 0
-            self._reset_probation(BAIL_INTERVAL)
-            if obs_reg is not None:
-                obs_reg.inc("kernel.merge.accept.productive")
-                obs_reg.inc("kernel.merge.retired", retired)
-
-        return True
-
     def _judge_interval(self, n_runnable: int) -> Optional[str]:
-        """Close a probation interval: the bail reason, or ``None`` to stay.
-
-        Group retirement advances ``_slow_events`` by whole groups, so an
-        interval can hold more than ``BAIL_INTERVAL`` slow events; the rule
-        compares rates, not counts.
-        """
+        """Close a probation interval: the bail reason, or ``None`` to stay."""
         interval_hits = self._hits_batched - self._bail_hits_mark
         interval_slow = self._slow_events - self._bail_slow_mark
         if interval_hits < interval_slow:

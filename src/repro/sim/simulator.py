@@ -52,6 +52,15 @@ REENTER_STREAK = 512
 #: near the batch/scalar break-even settles in the scalar loop.
 MAX_KERNEL_STINTS = 3
 
+#: Accesses per core the ``auto`` cold-start stint decodes.  Every run opens
+#: with cold misses (one per core and line), which would fill the kernel's
+#: first probation interval with slow events and bail a hit-run workload at
+#: once.  The scalar loop retires them instead and hands the run to the
+#: kernel at the first :data:`REENTER_STREAK` hit streak, or when a core
+#: exhausts this prefix.  The bound keeps the stint cheap: decoding a whole
+#: 1.92M-access trace costs 0.22-0.38 s.
+COLD_START_ACCESSES = 4096
+
 
 #: Registry of protocol engines selectable by name.
 PROTOCOLS: Dict[str, Type[CoherenceProtocol]] = {
@@ -122,14 +131,16 @@ class MulticoreSimulator:
         inline per-access probe at run boundaries, which in turn drops into
         :meth:`CoherenceProtocol.resolve_slow` for protocol action.  The
         kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``)
-        and ``REPRO_SIM_KERNEL`` allows it; in ``auto`` mode it bails out to
-        the scalar loop mid-run when it batches too few hits per slow event
-        (see the kernel's ``BAIL_*`` constants), and the scalar loop hands
-        back after :data:`REENTER_STREAK` consecutive private hits.  Both
-        rules count simulated work only, so the path a trace takes never
-        depends on the host (tests/sim/test_dispatch.py).  All paths are
-        bit-identical (golden suite plus the batch-boundary grids in
-        tests/sim/test_batch_kernel.py).
+        and ``REPRO_SIM_KERNEL`` allows it.  In ``auto`` mode a run opens
+        with a scalar cold-start stint over the first
+        :data:`COLD_START_ACCESSES` accesses of each core; the kernel bails
+        out to the scalar loop mid-run when it batches too few hits per slow
+        event (see the kernel's ``BAIL_*`` constants), and the scalar loop
+        hands back after :data:`REENTER_STREAK` consecutive private hits.
+        Every rule counts simulated work only, so the path a trace takes
+        never depends on the host (tests/sim/test_dispatch.py).  All paths
+        are bit-identical (golden suite plus the batch-boundary and
+        cold-start grids in tests/sim/test_batch_kernel.py).
         """
         if workload.n_cores > self.config.n_cores:
             raise ValueError(
@@ -145,18 +156,30 @@ class MulticoreSimulator:
             return self._run_columnar_scalar(workload)
 
         # The two loops alternate on the same exact state: the kernel bails
-        # to the scalar loop when a stretch of the workload defeats both of
-        # its batching tiers (hit-run windows and group retirement of
-        # independent slow accesses — conflict-dense stretches like cross-op
-        # reductions defeat the merge's entry gate), and the scalar loop
-        # hands back when it observes a long run of consecutive private hits
-        # (the kernel's regime).  Stints are capped so a workload
-        # oscillating near break-even settles in the scalar loop.
+        # to the scalar loop when a stretch of the workload is too
+        # slow-path-heavy to batch, and the scalar loop hands back when it
+        # observes a long run of consecutive private hits (the kernel's
+        # regime).  Stints are capped so a workload oscillating near
+        # break-even settles in the scalar loop.
+        obs_reg = _obs.get_registry()
         force = mode == "batch"
         state = None
+        if not force:
+            if obs_reg is not None:
+                obs_reg.inc("sim.stint.cold_start")
+            outcome = self._run_columnar_scalar(
+                workload, reenter=True, prefix=COLD_START_ACCESSES
+            )
+            if isinstance(outcome, SimulationResult):
+                return outcome
+            state = outcome
         scratch: dict = {}
         stints = 1
         while True:
+            if obs_reg is not None:
+                obs_reg.inc(
+                    "kernel.stint.enter" if stints == 1 else "kernel.stint.resume"
+                )
             kernel = BatchedKernel(self, workload, force=force, resume=state)
             state = kernel.run()
             if state is None:
@@ -171,7 +194,6 @@ class MulticoreSimulator:
                     for core in kernel.cores
                 ]
                 return self._finish(workload, cursors, kernel.core_stats)
-            obs_reg = _obs.get_registry()
             if obs_reg is not None:
                 obs_reg.inc("sim.stint.scalar")
             outcome = self._run_columnar_scalar(
@@ -186,7 +208,12 @@ class MulticoreSimulator:
             stints += 1
 
     def _run_columnar_scalar(
-        self, workload: ColumnarTrace, resume=None, scratch=None, reenter=False
+        self,
+        workload: ColumnarTrace,
+        resume=None,
+        scratch=None,
+        reenter=False,
+        prefix=None,
     ):
         """The scalar simulation loop: one access per iteration over raw columns.
 
@@ -194,10 +221,8 @@ class MulticoreSimulator:
         protocol calls whose signatures take one (``resolve_slow`` and the
         functional-update helpers); every private hit resolves against raw
         ints and floats.  Any change here must be mirrored in the batched
-        kernel's boundary path (``BatchedKernel._execute_one``) and in the
-        engines' group-retirement merge (``resolve_slow_batch``, which
-        replays this loop's probe + ``resolve_slow`` sequence inline per
-        slot); the golden equivalence suite pins all paths bit-identical.
+        kernel's boundary path (``BatchedKernel._execute_one``); the golden
+        equivalence suite pins both paths bit-identical.
 
         ``resume`` is a handoff from a bailed-out batched-kernel run:
         ``(per-core (clock, next_index, phase), core_stats, heap entries,
@@ -207,6 +232,11 @@ class MulticoreSimulator:
         hits returns the same handoff shape instead of a result, so
         :meth:`_run_columnar` can hand the hot stretch back to the kernel;
         ``scratch`` caches the decoded columns across such alternations.
+
+        ``prefix`` makes this the cold-start stint: only the first
+        ``prefix`` accesses of each core are decoded, and a core reaching
+        the end of its decoded prefix (before the end of its trace) is put
+        back on the heap untouched and the handoff is returned.
         """
         n_cores = workload.n_cores
         if resume is None:
@@ -227,18 +257,19 @@ class MulticoreSimulator:
         # (``gap * cpi`` is bit-identical to ``int_think * cpi`` because every
         # gap is an exact small integer), and operand values are decoded by
         # kind in one vectorized pass per core.
-        columns = scratch.get("columns") if scratch is not None else None
-        if columns is None:
-            columns = (
-                [column["type_code"].tolist() for column in workload.columns],
-                [column["address"].tolist() for column in workload.columns],
-                [column["compute_gap"].tolist() for column in workload.columns],
-                [decode_values(column) for column in workload.columns],
+        if prefix is not None:
+            columns = self._decode_columns(
+                [column[:prefix] for column in workload.columns]
             )
-            if scratch is not None:
-                scratch["columns"] = columns
+        else:
+            columns = scratch.get("columns") if scratch is not None else None
+            if columns is None:
+                columns = self._decode_columns(workload.columns)
+                if scratch is not None:
+                    scratch["columns"] = columns
         codes_pc, addrs_pc, gaps_pc, values_pc = columns
-        trace_lens = [len(codes) for codes in codes_pc]
+        trace_lens = [len(column) for column in workload.columns]
+        decoded_lens = [len(codes) for codes in codes_pc]
 
         # -- hot-loop constants, hoisted out of the per-access path -----------
         heappush = heapq.heappush
@@ -304,7 +335,12 @@ class MulticoreSimulator:
             cursor = cursors[core_id]
             index = cursor.next_index
 
-            if index >= trace_lens[core_id]:
+            if index >= decoded_lens[core_id]:
+                if index < trace_lens[core_id]:
+                    # Cold start: the core exhausted its decoded prefix, so
+                    # the rest of the run belongs to the batched kernel.
+                    heappush(heap, (clock, core_id))
+                    return self._handoff(cursors, core_stats, heap, barrier_waiters)
                 cursor.clock = clock
                 if cursor.phase < n_phases:
                     barrier_waiters.append(core_id)
@@ -448,18 +484,40 @@ class MulticoreSimulator:
                 hit_streak += 1
                 if hit_streak == REENTER_STREAK and reenter:
                     # Every core is hitting: hand the hot stretch back to the
-                    # batched kernel.  The heap carries the live clocks.
-                    for entry_clock, entry_id in heap:
-                        cursors[entry_id].clock = entry_clock
-                    cursor_state = [
-                        (cursor.clock, cursor.next_index, cursor.phase)
-                        for cursor in cursors
-                    ]
-                    return cursor_state, core_stats, list(heap), list(barrier_waiters)
+                    # batched kernel.
+                    return self._handoff(cursors, core_stats, heap, barrier_waiters)
             else:
                 hit_streak = 0
 
         return self._finish(workload, cursors, core_stats)
+
+    @staticmethod
+    def _decode_columns(columns) -> tuple:
+        """Per-core (codes, addresses, gaps, values) Python lists."""
+        return (
+            [column["type_code"].tolist() for column in columns],
+            [column["address"].tolist() for column in columns],
+            [column["compute_gap"].tolist() for column in columns],
+            [decode_values(column) for column in columns],
+        )
+
+    @staticmethod
+    def _handoff(
+        cursors: Sequence[_CoreCursor],
+        core_stats: List[CoreStats],
+        heap: List[tuple],
+        barrier_waiters: List[int],
+    ) -> tuple:
+        """Package the scalar loop's state for the batched kernel.
+
+        The heap carries the live clocks of the runnable cores.
+        """
+        for entry_clock, entry_id in heap:
+            cursors[entry_id].clock = entry_clock
+        cursor_state = [
+            (cursor.clock, cursor.next_index, cursor.phase) for cursor in cursors
+        ]
+        return cursor_state, core_stats, list(heap), list(barrier_waiters)
 
     def _finish(
         self,

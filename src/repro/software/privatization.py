@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import AccessType, MemoryAccess, Trace

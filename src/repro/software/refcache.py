@@ -15,7 +15,7 @@ against in Fig. 13c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import MemoryAccess, Trace

@@ -18,7 +18,7 @@ and COUP commutative updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import MemoryAccess, Trace

@@ -18,7 +18,7 @@ study but is not a state-for-state replica of the Fig. 7 controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)

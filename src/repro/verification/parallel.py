@@ -41,7 +41,7 @@ from repro.experiments import journal as _journal
 from repro.experiments.supervisor import TaskSpec, supervise
 from repro.verification import encode
 from repro.verification.checker import ExplorationResult, ModelChecker
-from repro.verification.invariants import InvariantViolation, check_invariants
+from repro.verification.invariants import check_invariants
 from repro.verification.model import CoherenceModel, ModelConfig
 
 #: One frontier entry: ``[state jsonable, parent index in previous level or

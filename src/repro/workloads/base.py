@@ -20,11 +20,11 @@ import abc
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
+from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace
 from repro.sim.columnar import VK_NONE, ColumnarTrace, code_for, encode_value
 
 

@@ -31,7 +31,6 @@ from repro.sim.columnar import (
     ACCESS_DTYPE,
     VK_INT,
     VK_UINT,
-    ColumnBuilder,
     ColumnarTrace,
     code_for,
     make_columns,

@@ -84,55 +84,6 @@ class TestP202BatchContract:
         report = lint_sources({CORE: source}, rules=[BatchContractRule()])
         assert report.ok
 
-    def test_slow_batch_flag_without_merge_fires(self, lint_sources):
-        source = (
-            "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert "P202" in codes(report)
-
-    def test_slow_batch_merge_without_flag_fires(self, lint_sources):
-        # Defining the merge while declaring non-participation is a stale
-        # flag: the kernel's dispatch would never call the method.
-        source = (
-            "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = False\n"
-            "    def resolve_slow_batch(self):\n"
-            "        return (0, 0, 0)\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert "P202" in codes(report)
-
-    def test_slow_batch_contract_passes_with_own_merge(self, lint_sources):
-        source = (
-            "class FancyProtocol:\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
-            "    def resolve_slow_batch(self):\n"
-            "        return (0, 0, 0)\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert report.ok
-
-    def test_slow_batch_contract_inherited_from_mesi_family(self, lint_sources):
-        source = (
-            "from repro.core.mesi import MesiProtocol\n"
-            "class TweakedMesi(MesiProtocol):\n"
-            "    SUPPORTS_SLOW_BATCH = True\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert report.ok
-
-    def test_opting_out_without_defining_merge_passes(self, lint_sources):
-        # RMO's shape: participation declined, merge only inherited.
-        source = (
-            "from repro.core.mesi import MesiProtocol\n"
-            "class BankSerialised(MesiProtocol):\n"
-            "    SUPPORTS_SLOW_BATCH = False\n"
-        )
-        report = lint_sources({CORE: source}, rules=[BatchContractRule()])
-        assert report.ok
-
     def test_real_tree_semantic_contract(self):
         # The run-level finalize cross-checks the live PROTOCOLS registry
         # and the 104-entry columnar type-code table; exercised in full by

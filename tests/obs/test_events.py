@@ -115,7 +115,6 @@ class TestProfileSummary:
             "counters": {
                 "kernel.bail.hard": 3,
                 "kernel.bail.strikes": 7,
-                "kernel.merge.decline.few_parked": 12,
                 "kernel.slow_events": 100,
             },
             "phases": {
@@ -127,8 +126,7 @@ class TestProfileSummary:
         assert [row["phase"] for row in profile["top_phases"]] == ["dear"]
         assert profile["top_phases"][0]["calls"] == 2
         assert profile["bail_reasons"] == {"hard": 3, "strikes": 7}
-        assert profile["merge_gate"] == {"decline.few_parked": 12}
 
     def test_empty_fold_degrades(self):
         profile = events.profile_summary({})
-        assert profile == {"bail_reasons": {}, "merge_gate": {}, "top_phases": []}
+        assert profile == {"bail_reasons": {}, "top_phases": []}

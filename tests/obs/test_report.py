@@ -18,11 +18,11 @@ def _write_stream(directory: str) -> None:
             {
                 "counters": {
                     "kernel.bail.hard": 2,
-                    "kernel.merge.decline.cooldown": 9,
-                    "kernel.merge.retired": 400,
+                    "kernel.bail.strikes": 9,
+                    "kernel.hits_batched": 400,
                 },
                 "phases": {
-                    "resolve_slow_batch": {
+                    "resolve_slow": {
                         "buckets": buckets,
                         "count": 5,
                         "max_s": 0.01,
@@ -50,12 +50,13 @@ class TestRender:
         fold = events.fold_events(str(tmp_path))
         text = report.render(fold)
         assert "Phase breakdown" in text
-        assert "resolve_slow_batch" in text
-        assert "Merge-gate accept/decline Pareto" in text
-        assert "decline.cooldown" in text
+        assert "resolve_slow" in text
         assert "Bail-reason Pareto" in text
         bail_section = text.split("Bail-reason Pareto\n")[1].split("\n\n")[0]
-        assert bail_section.split() == ["hard", "2", "100.0%", "(cum", "100.0%)"]
+        assert bail_section.split() == [
+            "strikes", "9", "81.8%", "(cum", "81.8%)",
+            "hard", "2", "18.2%", "(cum", "100.0%)",
+        ]
         assert "Campaign points: 1 total, 1 ok, 0 cached" in text
         assert "Worker timeline" in text
         assert "dispatch" in text
@@ -64,8 +65,8 @@ class TestRender:
         _write_stream(str(tmp_path))
         fold = events.fold_events(str(tmp_path))
         text = report.render(fold)
-        gate_section = text.split("Merge-gate accept/decline Pareto")[1]
-        assert gate_section.index("retired") < gate_section.index("decline.cooldown")
+        bail_section = text.split("Bail-reason Pareto")[1]
+        assert bail_section.index("strikes") < bail_section.index("hard")
 
 
 class TestMain:
@@ -79,7 +80,7 @@ class TestMain:
         _write_stream(str(tmp_path))
         assert report.main(["--obs-dir", str(tmp_path), "--json"]) == 0
         fold = json.loads(capsys.readouterr().out)
-        assert fold["counters"]["kernel.merge.retired"] == 400
+        assert fold["counters"]["kernel.hits_batched"] == 400
 
     def test_no_segments_exits_one(self, tmp_path, capsys):
         assert report.main(["--obs-dir", str(tmp_path)]) == 1

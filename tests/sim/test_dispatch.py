@@ -1,7 +1,8 @@
 """Kernel dispatch is a function of the trace alone, never of the host clock.
 
-In ``REPRO_SIM_KERNEL=auto`` the batched kernel bails to the scalar loop and
-the scalar loop hands hot stretches back.  Both decisions must read only the
+In ``REPRO_SIM_KERNEL=auto`` a run opens with a scalar cold-start stint, the
+batched kernel bails to the scalar loop and the scalar loop hands hot
+stretches back.  Every decision must read only the
 simulation's own work counters, so the same trace takes the same path on a
 fast host, a slow host, or a host whose clock misbehaves.  Each workload runs
 twice under ``REPRO_OBS=counters``: once with ``time.perf_counter`` frozen,
@@ -60,8 +61,8 @@ POINTS = {
 
 HIT_RUN_POINTS = ("shared-counter/COUP", "multi-counter/COUP", "read-only/MESI")
 
-DISPATCH_PREFIXES = ("kernel.stint.", "kernel.bail.")
-DISPATCH_COUNTERS = ("sim.stint.scalar", "kernel.slow_events", "kernel.hits_batched")
+DISPATCH_PREFIXES = ("kernel.stint.", "kernel.bail.", "sim.stint.")
+DISPATCH_COUNTERS = ("kernel.slow_events", "kernel.hits_batched")
 
 
 def _frozen_clock():
@@ -84,8 +85,7 @@ def traces():
 @pytest.fixture
 def counters_mode(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "counters")
-    for knob in ("REPRO_SIM_KERNEL", "REPRO_SLOW_BATCH"):
-        monkeypatch.delenv(knob, raising=False)
+    monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
     obs.reconfigure()
     yield
     monkeypatch.delenv("REPRO_OBS")
@@ -120,12 +120,47 @@ def test_dispatch_ignores_the_host_clock(key, traces, counters_mode, monkeypatch
     assert frozen == jumping
     assert frozen_result == jumping_result
 
+    # Every auto run opens with exactly one cold-start stint.
+    assert frozen["sim.stint.cold_start"] == 1
     if key in HIT_RUN_POINTS:
-        # The kernel's own regime: one stint, start to finish.
+        # The kernel's own regime: the cold start retires the opening cold
+        # misses, then one kernel stint runs to the end.
+        assert frozen["kernel.stint.enter"] == 1
+        assert frozen.get("kernel.stint.resume", 0) == 0
         assert frozen.get("sim.stint.scalar", 0) == 0
         assert frozen.get("kernel.stint.bail", 0) == 0
         assert frozen["kernel.stint.complete"] == 1
     if protocol == "RMO":
-        # Every update is a remote slow event: the kernel must hand off.
-        assert frozen["kernel.stint.bail"] >= 1
-        assert frozen["sim.stint.scalar"] >= 1
+        # Every update is a remote slow event: the kernel either never gets
+        # the run or hands it off.
+        _assert_never_entered_or_bailed(frozen)
+
+
+def _assert_never_entered_or_bailed(counters):
+    if counters.get("kernel.stint.enter", 0):
+        assert counters["kernel.stint.bail"] >= 1
+        assert counters["sim.stint.scalar"] >= 1
+
+
+@pytest.mark.parametrize(
+    "protocol, style",
+    [("MESI", UpdateStyle.ATOMIC), ("COUP", UpdateStyle.COMMUTATIVE)],
+)
+def test_one_core_histogram_never_lingers_in_the_kernel(protocol, style, counters_mode):
+    """A one-core point with few hits per slow event is judged and bails.
+
+    The trace outlasts the cold-start prefix, so the kernel does get the
+    run; with one core every update to a 16K-bin histogram misses, and the
+    kernel must hand the run to the scalar loop rather than pay its
+    per-event reclassification to the end.
+    """
+    trace = HistogramWorkload(
+        n_bins=16384, n_items=8000, update_style=style, seed=3
+    ).generate_columnar(1)
+    registry = obs.get_registry()
+    baseline = registry.snapshot()
+    simulate(trace, table1_config(1), protocol, track_values=True)
+    counters = registry.delta(baseline)["counters"]
+    assert counters["sim.stint.cold_start"] == 1
+    _assert_never_entered_or_bailed(counters)
+    assert counters.get("kernel.slow_events", 0) <= 64

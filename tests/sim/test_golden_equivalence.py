@@ -157,14 +157,24 @@ def test_golden_covers_all_protocols():
 
 @pytest.fixture(scope="module")
 def columnar_fingerprints() -> dict:
-    """Fingerprints of the golden cases simulated via the columnar path."""
+    """Fingerprints of the golden cases simulated via the columnar path.
+
+    The golden traces are shorter than ``auto``'s cold-start prefix, so at
+    the default prefix most of them never leave the scalar loop.  Here the
+    prefix is cut to 7 accesses per core: every case hands off to the
+    batched kernel early, and the kernel's results are pinned too.
+    """
+    import repro.sim.simulator as sim_module
+
     fingerprints = {}
-    for case_name, workload in _workload_cases().items():
-        trace = ColumnarTrace.from_workload(workload.generate(N_CORES))
-        for protocol in PROTOCOLS:
-            config = small_test_config(N_CORES)
-            result = simulate(trace, config, protocol, track_values=True)
-            fingerprints[f"{case_name}/{protocol}"] = _fingerprint(result)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "COLD_START_ACCESSES", 7)
+        for case_name, workload in _workload_cases().items():
+            trace = ColumnarTrace.from_workload(workload.generate(N_CORES))
+            for protocol in PROTOCOLS:
+                config = small_test_config(N_CORES)
+                result = simulate(trace, config, protocol, track_values=True)
+                fingerprints[f"{case_name}/{protocol}"] = _fingerprint(result)
     return fingerprints
 
 

@@ -242,3 +242,54 @@ class TestCoreSelectionTieBreak:
         )
         assert columnar_order == object_order
         assert columnar_order == list(range(self.N_CORES)) * self.ACCESSES_PER_CORE
+
+
+def test_kernel_selection_mismatch_raises_instead_of_hanging(monkeypatch):
+    """A kernel whose event selection breaks ties against the scalar order
+    cannot make progress; it must raise, naming the tied priorities.
+
+    The selection is patched to prefer the *larger* core id on equal
+    clocks, while the boundary walk still orders ties ascending, so every
+    selection finds an earlier parked core and restarts without moving.
+    A SIGALRM guard turns a regression back into a hang into a failure.
+    """
+    import signal
+
+    from repro.sim.kernel import BatchedKernel
+
+    def reversed_tie_break(self, runnable):
+        best = None
+        for core in runnable:
+            if core.end_reason == "limit":
+                continue
+            if (
+                best is None
+                or core.slow_priority < best.slow_priority
+                or (
+                    core.slow_priority == best.slow_priority
+                    and core.core_id > best.core_id
+                )
+            ):
+                best = core
+        return best
+
+    def timed_out(signum, frame):
+        raise AssertionError("the kernel hung instead of raising")
+
+    monkeypatch.setattr(BatchedKernel, "_earliest_event", reversed_tie_break)
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
+    tie_break = TestCoreSelectionTieBreak()
+    trace = tie_break._symmetric_workload()
+    config = small_test_config(tie_break.N_CORES)
+    engine = make_protocol("RMO", config)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="made no progress") as excinfo:
+            MulticoreSimulator(config, engine).run(trace)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # Every clock ties at the first event: core 4 was picked, core 0 is due.
+    assert "picked core 4 at 0.0" in str(excinfo.value)
+    assert "core 0 is parked earlier at 0.0" in str(excinfo.value)
