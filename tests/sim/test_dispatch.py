@@ -164,3 +164,101 @@ def test_one_core_histogram_never_lingers_in_the_kernel(protocol, style, counter
     assert counters["sim.stint.cold_start"] == 1
     _assert_never_entered_or_bailed(counters)
     assert counters.get("kernel.slow_events", 0) <= 64
+
+
+def _counted_run(trace, protocol, n_cores, engine_cls=None):
+    """Simulate once; return the result and every counter the run bumped."""
+    from repro.sim.simulator import MulticoreSimulator, make_protocol
+
+    config = table1_config(n_cores)
+    if engine_cls is None:
+        engine = make_protocol(protocol, config, track_values=True)
+    else:
+        engine = engine_cls(config, track_values=True)
+    registry = obs.get_registry()
+    baseline = registry.snapshot()
+    result = MulticoreSimulator(config, engine, track_values=True).run(trace)
+    return result.to_jsonable(), registry.delta(baseline)["counters"]
+
+
+def _scalar_reference(trace, protocol, n_cores, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_SIM_KERNEL", "scalar")
+        return simulate(
+            trace, table1_config(n_cores), protocol, track_values=True
+        ).to_jsonable()
+
+
+def _dispatch_counters(counters):
+    return {
+        name: count
+        for name, count in counters.items()
+        if name.startswith(DISPATCH_PREFIXES)
+    }
+
+
+def test_trace_inside_the_cold_start_prefix_never_reaches_the_kernel(
+    counters_mode, monkeypatch
+):
+    """A trace shorter than the prefix, with no long hit streak, finishes in
+    the cold-start stint itself."""
+    trace = SharedCounterWorkload(updates_per_core=100, seed=3).generate_columnar(4)
+    result, counters = _counted_run(trace, "COUP", 4)
+    assert _dispatch_counters(counters) == {"sim.stint.cold_start": 1}
+    assert result == _scalar_reference(trace, "COUP", 4, monkeypatch)
+
+
+@pytest.mark.parametrize("prefix", [1, 5, 64])
+def test_cold_start_hands_off_where_a_core_exhausts_its_prefix(prefix, monkeypatch):
+    """The stint returns a handoff at the first core to run out of decoded
+    accesses; the scalar loop resumed from it finishes the identical run."""
+    from repro.sim.simulator import MulticoreSimulator, make_protocol
+
+    n_cores = 4
+    trace = HistogramWorkload(
+        n_bins=64, n_items=2000, update_style=UpdateStyle.ATOMIC, seed=3
+    ).generate_columnar(n_cores)
+    config = table1_config(n_cores)
+    simulator = MulticoreSimulator(
+        config, make_protocol("MESI", config, track_values=True), track_values=True
+    )
+    handoff = simulator._run_columnar_scalar(trace, prefix=prefix)
+    assert isinstance(handoff, tuple), "the stint ran past its prefix"
+    cursor_state, _, heap, barrier_waiters = handoff
+    positions = [next_index for _, next_index, _ in cursor_state]
+    assert max(positions) == prefix
+    assert all(index <= prefix for index in positions)
+    exhausted = [core for core, index in enumerate(positions) if index == prefix]
+    assert {core for _, core in heap} | set(barrier_waiters) == set(range(n_cores))
+    assert set(exhausted) <= {core for _, core in heap}
+
+    resumed = simulator._run_columnar_scalar(trace, resume=handoff)
+    assert resumed.to_jsonable() == _scalar_reference(trace, "MESI", n_cores, monkeypatch)
+
+
+def test_forced_batch_mode_skips_the_cold_start(traces, counters_mode, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
+    trace = traces["shared-counter/COUP"]
+    _, counters = _counted_run(trace, "COUP", N_CORES)
+    dispatch = _dispatch_counters(counters)
+    assert "sim.stint.cold_start" not in dispatch
+    assert dispatch["kernel.stint.enter"] == 1
+
+
+@pytest.mark.parametrize("mode", ["scalar", "unsupported-engine"])
+def test_scalar_runs_open_no_stint(mode, traces, counters_mode, monkeypatch):
+    """``REPRO_SIM_KERNEL=scalar``, or an engine that does not opt into the
+    kernel, runs the plain scalar loop: no cold start, no kernel stint."""
+    from repro.core.mesi import MesiProtocol
+
+    class ScalarOnlyMesi(MesiProtocol):
+        SUPPORTS_BATCH_KERNEL = False
+
+    trace = traces["read-only/MESI"]
+    if mode == "scalar":
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
+        result, counters = _counted_run(trace, "MESI", N_CORES)
+    else:
+        result, counters = _counted_run(trace, "MESI", N_CORES, ScalarOnlyMesi)
+    assert _dispatch_counters(counters) == {}
+    assert result == _scalar_reference(trace, "MESI", N_CORES, monkeypatch)
