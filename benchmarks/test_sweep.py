@@ -21,7 +21,7 @@ from conftest import append_trajectory, median_time, run_once, trajectory_path
 from repro.experiments import settings
 from repro.experiments.paper_workloads import make_hist
 from repro.sim.config import table1_config
-from repro.sim.simulator import compare_protocols
+from repro.sim.simulator import compare_protocols, simulate
 from repro.workloads import UpdateStyle
 
 #: Trajectory file recording one entry per benchmark run.
@@ -30,25 +30,33 @@ TRAJECTORY_PATH = trajectory_path("BENCH_sweep.json")
 PROTOCOLS = ("MESI", "COUP", "RMO")
 
 
-def _sweep(share_trace: bool):
-    """One multi-protocol sweep over the hist benchmark."""
-    n_cores = min(16, settings.max_cores())
+def _factory(n):
+    return make_hist(UpdateStyle.COMMUTATIVE).generate(n)
 
-    def factory(n):
-        return make_hist(UpdateStyle.COMMUTATIVE).generate(n)
 
-    return compare_protocols(
-        factory, table1_config(n_cores), protocols=PROTOCOLS, share_trace=share_trace
-    )
+def _config():
+    return table1_config(min(16, settings.max_cores()))
+
+
+def _sweep():
+    """One multi-protocol sweep over the hist benchmark, sharing the trace."""
+    return compare_protocols(_factory, _config(), protocols=PROTOCOLS)
+
+
+def _regenerated_sweep():
+    """The same sweep, generating the trace afresh for every protocol."""
+    config = _config()
+    return {
+        protocol: simulate(_factory(config.n_cores), config, protocol, track_values=False)
+        for protocol in PROTOCOLS
+    }
 
 
 def test_sweep_trace_reuse(benchmark):
     """Time both sweep modes over repeats; record the medians."""
-    regenerated_s, regenerated_times, regenerated = median_time(
-        lambda: _sweep(share_trace=False)
-    )
-    shared_s, shared_times, _ = median_time(lambda: _sweep(share_trace=True))
-    shared = run_once(benchmark, _sweep, share_trace=True)
+    regenerated_s, regenerated_times, regenerated = median_time(_regenerated_sweep)
+    shared_s, shared_times, _ = median_time(_sweep)
+    shared = run_once(benchmark, _sweep)
 
     # Sharing must be invisible in the results.
     assert shared == regenerated

@@ -42,8 +42,6 @@ S_MODIFIED = StableState.MODIFIED
 S_EXCLUSIVE = StableState.EXCLUSIVE
 S_SHARED = StableState.SHARED
 A_LOAD = AccessType.LOAD
-A_STORE = AccessType.STORE
-A_ATOMIC = AccessType.ATOMIC_RMW
 A_COMMUTATIVE = AccessType.COMMUTATIVE_UPDATE
 A_REMOTE = AccessType.REMOTE_UPDATE
 
@@ -361,57 +359,17 @@ class MesiProtocol(CoherenceProtocol):
 
     # ------------------------------------------------------------ value helpers
 
-    def _functional_update(self, access: MemoryAccess) -> None:
-        if not self.track_values or access.op is None or access.value is None:
+    def _functional_write(self, address: int, op, value) -> None:
+        """Apply a store (``op`` is None), or an atomic/update as a read-modify-write."""
+        if not self.track_values or value is None:
             return
-        current = self.memory_image.get(access.address, access.op.identity)
-        self.memory_image[access.address] = access.op.apply(current, access.value)
-
-    def _functional_write(self, access: MemoryAccess) -> None:
-        """Apply a store, or an atomic/update as a read-modify-write."""
-        if access.access_type is A_STORE:
-            if self.track_values and access.value is not None:
-                self.memory_image[access.address] = access.value
+        memory_image = self.memory_image
+        if op is None:
+            memory_image[address] = value
         else:
-            self._functional_update(access)
+            memory_image[address] = op.apply(memory_image.get(address, op.identity), value)
 
     # --------------------------------------------------------------- main entry
-
-    def access_hot(
-        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
-    ):
-        """Resolve one access; private hits return just the hit level (1/2).
-
-        The private-hit fast path performs the same lookups, LRU refreshes,
-        state transitions, and functional updates as the simulator's inline
-        path and returns the hit level without charging anything (the caller
-        charges the fixed L1/L2 hit latency itself); every other access
-        returns :meth:`resolve_slow`'s latency total.
-        """
-        line_addr = access.address >> self._line_shift
-        access_type = access.access_type
-        # MESI has no update-only support: commutative and remote updates are
-        # executed as conventional atomic read-modify-writes.
-        if access_type is A_COMMUTATIVE or access_type is A_REMOTE:
-            access_type = A_ATOMIC
-
-        states = self.core_states[core_id]
-        state = states.get(line_addr)
-        level = self._private_level(core_id, line_addr)
-
-        if level and state is not None:
-            if access_type is A_LOAD:
-                # repro-lint: disable=P203(shared MESI-family fast path also services MEUSI U lines via inheritance; plain MESI never reaches this state)
-                if state is not StableState.UPDATE:  # S/E/M can satisfy a load
-                    return level
-            elif (
-                state is S_MODIFIED or state is S_EXCLUSIVE
-            ):  # store or atomic with write permission
-                states[line_addr] = S_MODIFIED
-                self._functional_write(access)
-                return level
-
-        return self.resolve_slow(core_id, access, line_addr, state, level, now, latency)
 
     def resolve_slow(
         self,
@@ -430,5 +388,5 @@ class MesiProtocol(CoherenceProtocol):
         is_load = access.access_type is A_LOAD
         total = self._demand(core_id, line_addr, is_load, state is None, now, latency)
         if not is_load:
-            self._functional_write(access)
+            self._functional_write(access.address, access.op, access.value)
         return total

@@ -35,7 +35,6 @@ from repro.core.mesi import (
     M_READ_ONLY,
     M_UNCACHED,
     M_UPDATE_ONLY,
-    S_EXCLUSIVE,
     S_INVALID,
     S_MODIFIED,
     S_SHARED,
@@ -99,7 +98,7 @@ class MeusiProtocol(MesiProtocol):
         ``delta_buffers``, and ``finalize`` commits buffers in insertion
         order — floating-point reductions make that order observable — so
         first-buffering updates are deliberately sent through the globally
-        ordered slow/inline path instead of a reordered hit-run.  Returns
+        ordered one-access step instead of a reordered hit-run.  Returns
         the op's :data:`~repro.core.commutative.ALL_OPS` index, or 255
         (``UOP_NONE``) when the line must classify slow.
         """
@@ -399,46 +398,6 @@ class MeusiProtocol(MesiProtocol):
 
     # ------------------------------------------------------------- main entry
 
-    def access_hot(
-        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
-    ):
-        """MEUSI hot path: local commutative updates return just the hit level.
-
-        See :meth:`MesiProtocol.access_hot` for the return convention.
-        """
-        line_addr = access.address >> self._line_shift
-        states = self.core_states[core_id]
-        state = states.get(line_addr)
-        access_type = access.access_type
-        if access_type is A_COMMUTATIVE or access_type is A_REMOTE:
-            # A COUP machine executes remote updates as commutative updates.
-            entry = self.directory.peek(line_addr)
-            level = self._private_level(core_id, line_addr)
-            if level and state is not None:
-                if state is S_MODIFIED or state is S_EXCLUSIVE:
-                    # Our own M/E copy can absorb any commutative update.
-                    states[line_addr] = S_MODIFIED
-                    self._functional_update(access)
-                    self.stat_local_updates += 1
-                    return level
-                if (
-                    state is S_UPDATE
-                    and access.op is not None
-                    and entry is not None
-                    and entry.op is access.op
-                ):
-                    # U-state line of the same update type: buffer locally.
-                    self._apply_local_update(core_id, access)
-                    self.stat_local_updates += 1
-                    return level
-            return self.resolve_slow(core_id, access, line_addr, state, level, now, latency)
-
-        entry = self.directory.peek(line_addr)
-        if (entry is not None and entry.mode is M_UPDATE_ONLY) or state is S_UPDATE:
-            # Demands on update-only lines never hit: resolve them unprobed.
-            return self.resolve_slow(core_id, access, line_addr, state, None, now, latency)
-        return MesiProtocol.access_hot(self, core_id, access, now, latency)
-
     def resolve_slow(
         self,
         core_id: int,
@@ -456,7 +415,7 @@ class MeusiProtocol(MesiProtocol):
             self.current_time = now
             total = self._update(core_id, line_addr, access.op, now, latency)
             if self.core_states[core_id].get(line_addr) is S_MODIFIED:
-                self._functional_update(access)
+                self._functional_write(access.address, access.op, access.value)
             else:
                 self._apply_local_update(core_id, access)
             return total
@@ -469,7 +428,7 @@ class MeusiProtocol(MesiProtocol):
                 core_id, line_addr, access_type is A_LOAD, now, latency
             )
             if access_type is not A_LOAD:
-                self._functional_write(access)
+                self._functional_write(access.address, access.op, access.value)
             return total
 
         # A core's own U-state line cannot satisfy loads/stores; drop to I

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +27,23 @@ from repro import obs as _obs
 from repro.core.commutative import CommutativeOp
 from repro.core.directory import Directory
 from repro.core.reduction import ReductionUnit
+from repro.core.states import StableState
+from repro.hierarchy.cache import STATE_EXCLUSIVE, STATE_MODIFIED, STATE_UPDATE, UOP_NONE
 from repro.hierarchy.system import CacheHierarchy
 from repro.interconnect.messages import MessageType
 from repro.interconnect.network import InterconnectModel
 from repro.sim.access import AccessType, MemoryAccess
+from repro.sim.columnar import (
+    CODE_ACCESS_TYPE,
+    CODE_OF_SHAPE,
+    CODE_OP,
+    CODE_SIZE,
+    COMMUTATIVE_MIN_CODE,
+    KIND_COMMUTATIVE,
+    KIND_LOAD,
+    UPDATE_MIN_CODE,
+    TraceCodecError,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import LatencyBreakdown
 
@@ -66,13 +79,13 @@ class CoherenceProtocol(abc.ABC):
     #: Whether the batched columnar kernel (:mod:`repro.sim.kernel`) may
     #: classify whole chunks of accesses against this engine's tables via
     #: :meth:`hot_mask` and advance hit-runs without per-access protocol
-    #: calls (the kernel drops into the scalar loop's inline probe and
-    #: :meth:`resolve_slow` at run boundaries).
+    #: calls (the kernel resolves run boundaries through :meth:`make_step`).
     SUPPORTS_BATCH_KERNEL: bool = False
 
-    #: How the hot path treats commutative/remote updates: ``"atomic"`` folds
-    #: them into atomic read-modify-writes (MESI), ``"local"`` applies COUP's
-    #: update-only rules (MEUSI), ``"never"`` forces the slow path (RMO).
+    #: How :meth:`make_step` and :meth:`hot_mask` treat commutative/remote
+    #: updates: ``"atomic"`` folds them into atomic read-modify-writes (MESI),
+    #: ``"local"`` applies COUP's update-only rules (MEUSI), ``"never"``
+    #: forces the slow path (RMO).
     HOT_COMMUTATIVE: str = "atomic"
 
     def __init__(self, config: SystemConfig, track_values: bool = True) -> None:
@@ -224,24 +237,40 @@ class CoherenceProtocol(abc.ABC):
     def access(self, core_id: int, access: MemoryAccess, now: float) -> AccessOutcome:
         """Resolve one access issued by ``core_id`` at simulator time ``now``.
 
-        The public one-access API: runs :meth:`access_hot` against a fresh
-        :class:`LatencyBreakdown` and describes the result as an
+        The public one-access API: runs the access through :meth:`make_step`
+        against a fresh :class:`LatencyBreakdown` — exactly as the simulator
+        would at issue time ``now`` — and describes the result as an
         :class:`AccessOutcome`.  ``invalidations`` counts the caches the
         access invalidated or downgraded (from the engine's aggregate
         statistics) and ``value`` is the word's value after the access for
         loads, and for atomics an engine executes as read-modify-writes.
         """
+        access_type = access.access_type
+        try:
+            code = CODE_OF_SHAPE[(access_type, access.op, access.size_bytes)]
+        except KeyError:
+            raise TraceCodecError(
+                f"unrepresentable access shape: type={access_type}, "
+                f"op={access.op}, size_bytes={access.size_bytes}"
+            ) from None
         latency = LatencyBreakdown()
         invalidations = self.stat_invalidations
         downgrades = self.stat_downgrades
         reductions = self.stat_full_reductions
-        level = self.access_hot(core_id, access, now, latency)
+        level = self.make_step()(
+            core_id,
+            code,
+            access.address,
+            access.value,
+            float(access.think_instructions),
+            now,
+            latency,
+        )
         private_hit = level.__class__ is int
         if private_hit:
             latency.l1 += self._l1_latency
             if level == 2:
                 latency.l2 += self._l2_latency
-        access_type = access.access_type
         returns_value = self.track_values and access_type is not AccessType.STORE and (
             self.HOT_COMMUTATIVE == "atomic" or not access_type.is_commutative
         )
@@ -256,21 +285,94 @@ class CoherenceProtocol(abc.ABC):
             full_reduction=self.stat_full_reductions > reductions,
         )
 
-    @abc.abstractmethod
-    def access_hot(
-        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
-    ):
-        """One-access resolution behind :meth:`access` (the public API).
+    def make_step(self) -> Callable[..., Union[int, float]]:
+        """Build the one-access step: the only statement of the private-hit rules.
 
-        Returns ``1`` (L1 private hit) or ``2`` (L2 private hit) when the
-        access was satisfied entirely within the core's private hierarchy —
-        all protocol state, functional values, and cache statistics already
-        updated — leaving the caller to charge the fixed private-hit latency.
-        Any access that needs directory or transaction machinery is resolved
-        through :meth:`resolve_slow`, which charges ``latency`` and returns
-        the total as a float.
+        Returns ``step(core_id, code, address, value, gap, now, latency)``,
+        which resolves one access given as its packed ``type_code`` (see
+        :mod:`repro.sim.columnar`), byte address, decoded operand value and
+        think count, issued at ``now``.  A core satisfies an access in its
+        private caches only under its stable state: S/E/M for a load, E/M
+        for a store or atomic (left in M), and — per
+        :attr:`HOT_COMMUTATIVE` — E/M or, under ``"local"``, U with the
+        directory entry's op for a commutative or remote update.  Such a
+        hit applies its functional effect and returns the hit level (``1``
+        L1, ``2`` L2) without charging anything: the caller charges the
+        fixed private-hit latency.  Every other access is materialized as a
+        :class:`MemoryAccess` and returns :meth:`resolve_slow`'s latency
+        total, a float.
+
+        The private caches are probed (once, through :meth:`_private_level`)
+        only when a hit is possible; any other access is probed inside
+        :meth:`resolve_slow` if its transaction needs one.  The engine's
+        tables — and ``self.resolve_slow`` itself, which instrumentation
+        may wrap — are hoisted when the step is built, so build one per run.
+        The scalar loop, the batched kernel's boundary accesses and
+        :meth:`access` all resolve through it; :meth:`hot_mask` is its
+        vectorized twin.
         """
+        # The MESI family's tables; MEUSI adds the U-line hooks.
+        protocol: Any = self
+        resolve_slow = self.resolve_slow
+        private_level = self._private_level
+        core_states = protocol.core_states
+        directory_entries = self.directory._entries
+        line_shift = self._line_shift
+        track_values = self.track_values
+        comm_local = self.HOT_COMMUTATIVE == "local"
+        comm_never = self.HOT_COMMUTATIVE == "never"
+        new_access = MemoryAccess.__new__
+        code_type = CODE_ACCESS_TYPE
+        code_op = CODE_OP
+        code_size = CODE_SIZE
+        store_min = UPDATE_MIN_CODE
+        commutative_min = COMMUTATIVE_MIN_CODE
+        exclusive = StableState.EXCLUSIVE
+        modified = StableState.MODIFIED
+        update = StableState.UPDATE
 
+        def step(core_id, code, address, value, gap, now, latency):
+            line_addr = address >> line_shift
+            states = core_states[core_id]
+            state = states.get(line_addr)
+            level = None
+            if state is not None and (
+                (not comm_never) if code >= commutative_min else state is not update
+            ):
+                level = private_level(core_id, line_addr)
+                if level:
+                    if code < store_min:  # LOAD under S/E/M
+                        return level
+                    if state is modified or state is exclusive:
+                        states[line_addr] = modified
+                        if track_values:
+                            protocol._functional_write(address, code_op[code], value)
+                        if comm_local and code >= commutative_min:
+                            protocol.stat_local_updates += 1
+                        return level
+                    if state is update and comm_local:
+                        # A same-op update buffers in the core's U line.
+                        op = code_op[code]
+                        entry = directory_entries.get(line_addr)
+                        if entry is not None and entry.op is op:
+                            if track_values and value is not None:
+                                protocol._buffer_for(core_id, line_addr, op).update(
+                                    address, value
+                                )
+                            protocol.stat_local_updates += 1
+                            return level
+            access = new_access(MemoryAccess)
+            access.access_type = code_type[code]
+            access.address = address
+            access.op = code_op[code]
+            access.value = value
+            access.think_instructions = int(gap)
+            access.size_bytes = code_size[code]
+            return resolve_slow(core_id, access, line_addr, state, level, now, latency)
+
+        return step
+
+    @abc.abstractmethod
     def resolve_slow(
         self,
         core_id: int,
@@ -281,16 +383,14 @@ class CoherenceProtocol(abc.ABC):
         now: float,
         latency: LatencyBreakdown,
     ) -> float:
-        """Resolve an access the simulator's inline fast path rejected.
+        """Resolve an access :meth:`make_step`'s private-hit rules rejected.
 
-        The timing simulator replicates the private-hit rules against this
-        engine's tables (``core_states``, the private cache arrays, and for
-        MEUSI the directory's update-only entries) and only calls this
-        method for accesses that need transaction machinery.  ``state`` is the core's
-        stable state for the line (``None`` if untracked) and ``level`` is
-        the private-lookup result if the simulator already probed the
-        caches — or ``None`` if it did not, in which case the probe must
-        happen here so lookup statistics and LRU state advance exactly once
+        Only the step calls this, for accesses that need transaction
+        machinery.  ``state`` is the core's stable state for the line
+        (``None`` if untracked) and ``level`` is the private-lookup result
+        if the step already probed the caches — or ``None`` if it did not,
+        in which case the probe must happen here (when the transaction
+        needs one) so lookup statistics and LRU state advance exactly once
         per access.
 
         Scalar-return contract: the engine sums the access's eight latency
@@ -302,7 +402,6 @@ class CoherenceProtocol(abc.ABC):
         is allocated per access; the caller charges the total to the core's
         clock and memory cycles.
         """
-        raise NotImplementedError
 
     def hot_mask(
         self,
@@ -312,13 +411,13 @@ class CoherenceProtocol(abc.ABC):
         uops: Optional[np.ndarray],
         op_index: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized twin of the inline private-hit rules (batch contract).
+        """Vectorized twin of :meth:`make_step`'s private-hit rules (batch contract).
 
         Given one chunk of a core's columnar trace, return a boolean array
         marking the accesses the engine would satisfy entirely within the
-        core's private L1 with **no** protocol action — exactly the accesses
-        the simulator's inline fast path resolves without calling
-        :meth:`resolve_slow`.  Inputs are parallel arrays over the chunk:
+        core's private L1 with **no** protocol action — exactly the L1 hits
+        :meth:`make_step` resolves without calling :meth:`resolve_slow`.
+        Inputs are parallel arrays over the chunk:
 
         ``kinds``
             Access kind per :data:`repro.sim.columnar.CODE_KIND`.
@@ -336,7 +435,7 @@ class CoherenceProtocol(abc.ABC):
             The access's own op index (:data:`repro.sim.columnar.CODE_OP_INDEX`).
 
         The generic implementation is driven by :attr:`HOT_COMMUTATIVE`, the
-        same switch the inline path uses, so the MESI family shares it:
+        same switch the step uses, so the MESI family shares it:
         loads hit on S/E/M, stores and atomics on E/M, and commutative or
         remote updates follow the engine's folding rule.  MEUSI's
         update-state lines classify hot only for matching-op buffering;
@@ -344,14 +443,6 @@ class CoherenceProtocol(abc.ABC):
         different stable-state semantics must override this together with
         :attr:`SUPPORTS_BATCH_KERNEL`.
         """
-        from repro.hierarchy.cache import (
-            STATE_EXCLUSIVE,
-            STATE_MODIFIED,
-            STATE_UPDATE,
-            UOP_NONE,
-        )
-        from repro.sim.columnar import KIND_LOAD, KIND_COMMUTATIVE
-
         writable = member & ((states == STATE_EXCLUSIVE) | (states == STATE_MODIFIED))
         readable = member & (states != 0) & (states != STATE_UPDATE)
         hot = np.where(kinds == KIND_LOAD, readable, writable)
@@ -381,19 +472,9 @@ class CoherenceProtocol(abc.ABC):
         Performs the same hit/miss counting and LRU refresh as
         :meth:`SetAssociativeCache.lookup` on the L1 and then the L2, and
         refills the L1 on an L2 hit, without any intermediate calls.
-        Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).
-
-        WARNING: this probe is intentionally hand-duplicated for speed.  The
-        copies are:
-
-        * here (also called by every engine's ``resolve_slow`` for accesses
-          the caller did not probe);
-        * the inline block in ``MulticoreSimulator._run_columnar_scalar``;
-        * ``BatchedKernel._execute_one``.
-
-        Any change to probe semantics must be applied to all of them; the
-        golden-equivalence suite (tests/sim/test_golden_equivalence.py)
-        catches divergence.
+        Returns 1 (L1 hit), 2 (L2 hit), or 0 (miss).  The one private probe:
+        :meth:`make_step` calls it when a hit is possible, and every
+        engine's ``resolve_slow`` for accesses the step did not probe.
         """
         l1 = self._l1_caches[core_id]
         cache_set = l1._sets.get(line_addr % l1._num_sets)

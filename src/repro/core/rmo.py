@@ -45,16 +45,6 @@ class RmoProtocol(MesiProtocol):
         self.stat_remote_updates = 0
         self._m_remote_op = self._message(MessageType.REMOTE_OP)
 
-    def access_hot(
-        self, core_id: int, access: MemoryAccess, now: float, latency: LatencyBreakdown
-    ):
-        """RMO hot path: updates always travel to the home bank (never hit)."""
-        access_type = access.access_type
-        if access_type is A_REMOTE or access_type is A_COMMUTATIVE:
-            line_addr = access.address >> self._line_shift
-            return self.resolve_slow(core_id, access, line_addr, None, None, now, latency)
-        return MesiProtocol.access_hot(self, core_id, access, now, latency)
-
     def resolve_slow(
         self,
         core_id: int,
@@ -119,7 +109,7 @@ class RmoProtocol(MesiProtocol):
         b6 += self.REMOTE_ALU_CYCLES
         b8 = start - now
 
-        self._functional_update(access)
+        self._functional_write(access.address, access.op, access.value)
         self.stat_remote_updates += 1
         # No L1/L2 lookup or memory component: those stay zero.
         latency.l3 += b3

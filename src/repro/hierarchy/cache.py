@@ -164,12 +164,11 @@ class TagArray:
     no recency: LRU order lives solely in the key order of the object
     cache's sets, which the kernel refreshes itself after every batched
     hit-run, and hit statistics live in the object cache too.  The mirror is
-    kept coherent lazily: the kernel rebuilds it from the object cache at
-    slow-path boundaries (any protocol action that may move lines) and
-    applies cheap incremental updates for the two hot mutations that happen
-    between them (an L2-hit promotion into the L1, and a U-line gaining a
-    classifiable op).  Way order within a set is arbitrary; only membership
-    matters.
+    kept coherent at run boundaries only: after each boundary access the
+    kernel refills the executing core's affected sets from the object cache
+    and repairs other cores' touched lines in place (:meth:`update_line`);
+    hit-runs change no membership and no classification input.  Way order
+    within a set is arbitrary; only membership matters.
     """
 
     __slots__ = ("num_sets", "ways", "tags", "state", "uop")
@@ -192,36 +191,6 @@ class TagArray:
         self.tags[set_index, way] = line_addr
         self.state[set_index, way] = state
         self.uop[set_index, way] = uop
-
-    def place(
-        self, line_addr: int, state: int, uop: int, victim_addr: Optional[int] = None
-    ) -> bool:
-        """Install a line, replacing ``victim_addr``'s way (or an empty one).
-
-        Mirrors an L1 fill performed by the object cache: the caller learned
-        the victim's address (if any) from :meth:`SetAssociativeCache.insert`.  Returns
-        False when no slot could be found — the mirror has drifted from the
-        object cache and the caller must mark it stale for a rebuild.
-        """
-        set_index = line_addr % self.num_sets
-        row = self.tags[set_index]
-        if victim_addr is not None:
-            slots = np.flatnonzero(row == np.uint64(victim_addr))
-        else:
-            slots = np.flatnonzero(row == TAG_EMPTY)
-        if not slots.size:
-            return False
-        way = int(slots[0])
-        self.fill_way(set_index, way, line_addr, state, uop)
-        return True
-
-    def set_uop(self, line_addr: int, uop: int) -> None:
-        """Update the op code of a resident line (no-op if absent)."""
-        set_index = line_addr % self.num_sets
-        row = self.tags[set_index]
-        slots = np.flatnonzero(row == np.uint64(line_addr))
-        if slots.size:
-            self.uop[set_index, int(slots[0])] = uop
 
     def update_line(self, line_addr: int, state: int, uop: int) -> None:
         """Repair one line after a cross-core coherence action.

@@ -93,9 +93,8 @@ PROTOCOL_ENGINE_MODULES: Tuple[str, ...] = (
 )
 
 #: Stable-state alphabet each engine module may reference (rule P203).
-#: ``mesi.py`` hosts the MESI-family shared machinery, which also services
-#: MEUSI's U lines via inheritance — those two references carry audited
-#: inline suppressions; brand-new ones must be justified the same way.
+#: ``mesi.py`` hosts the MESI-family shared machinery MEUSI inherits; a
+#: reference to U there must carry an audited inline suppression.
 ENGINE_STATE_ALPHABET: Mapping[str, FrozenSet[str]] = {
     "src/repro/core/mesi.py": frozenset({"INVALID", "SHARED", "EXCLUSIVE", "MODIFIED"}),
     "src/repro/core/rmo.py": frozenset({"INVALID", "SHARED", "EXCLUSIVE", "MODIFIED"}),

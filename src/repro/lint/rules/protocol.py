@@ -249,9 +249,9 @@ class StateAlphabetRule(Rule):
     """P203: engines may only name states in their declared alphabet.
 
     ``rmo.py`` and ``mesi.py`` implement MESI-family semantics and must not
-    grow references to COUP's ``UPDATE`` state (the two places where
-    ``mesi.py``'s shared machinery services MEUSI's U lines via inheritance
-    carry audited suppressions); ``meusi.py`` may use the full alphabet.
+    grow references to COUP's ``UPDATE`` state (the private-hit rules that
+    serve MEUSI's U lines live in ``CoherenceProtocol.make_step``);
+    ``meusi.py`` may use the full alphabet.
     """
 
     code = "P203"

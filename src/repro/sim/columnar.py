@@ -139,6 +139,14 @@ def _build_code_tables():
 CODE_ACCESS_TYPE, CODE_OP, CODE_SIZE, CODE_VALUE_KIND, _PACK_CODE = _build_code_tables()
 N_CODES = len(CODE_ACCESS_TYPE)
 
+#: ``(type, op, width)`` -> a ``type_code`` of that shape, for a caller that
+#: passes the operand value unencoded (``CoherenceProtocol.access``): the
+#: value kind only matters when a packed operand is decoded.
+CODE_OF_SHAPE = {
+    (CODE_ACCESS_TYPE[code], CODE_OP[code], CODE_SIZE[code]): code
+    for code in range(N_CODES)
+}
+
 #: The published range boundaries must match the generated table exactly.
 assert CODE_ACCESS_TYPE[UPDATE_MIN_CODE - 1] is AccessType.LOAD
 assert CODE_ACCESS_TYPE[UPDATE_MIN_CODE] is AccessType.STORE

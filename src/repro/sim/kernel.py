@@ -22,8 +22,8 @@ the interpreter from that common case:
   Python work: clocks, compute/memory cycles, latency and per-type counters
   are all computed with NumPy reductions over the run, and LRU order is
   refreshed once per distinct line, in order of its last hit.  The first
-  non-hit drops into the same inline-probe / :meth:`resolve_slow`
-  machinery the scalar loop uses.
+  non-hit resolves through the same one-access step
+  (:meth:`CoherenceProtocol.make_step`) the scalar loop uses.
 
 Bit-identity
 ------------
@@ -49,24 +49,24 @@ three invariants:
    whose heap priority precedes ``(t, c)``, and through no more.  A core's
    first *possible* slow access is known from its classified hit-run, which
    is what bounds how far other cores may run ahead.
-3. **Float arithmetic replays the scalar op sequence.**  When every timing
+3. **Float arithmetic is exact.**  The kernel only runs when every timing
    constant (CPI, issue overheads, L1 latency) is a dyadic rational with at
-   most 8 fractional bits — true for every shipped configuration — all the
-   scalar loop's partial sums are exact in float64 (non-negative addends,
-   magnitudes capped by a runtime guard), so order of summation cannot
-   change a single bit and closed-form NumPy reductions are used.  Any
-   other configuration, or a run that exceeds the magnitude guard, uses the
-   fold pipeline instead: ``np.cumsum`` (strictly sequential accumulation)
-   over the same per-access addend sequence the scalar loop folds, which
-   reproduces every partial sum bit-for-bit unconditionally.
+   most 8 fractional bits (:func:`exact_timing`) — true for every shipped
+   configuration.  Then all the scalar loop's partial sums are exact in
+   float64 (non-negative addends, magnitudes capped by a runtime guard), so
+   order of summation cannot change a single bit and closed-form NumPy
+   reductions are used.  A hit-run that would cross the magnitude guard
+   hands the run to the scalar loop, as a bail does.
 
 Fallback
 --------
 
 The kernel handles engines that opt in via
-:attr:`CoherenceProtocol.SUPPORTS_BATCH_KERNEL`; everything else uses the
-scalar loop.  ``REPRO_SIM_KERNEL`` selects ``auto`` (default), ``batch``
-(always batch), or ``scalar`` (never batch).  In ``auto`` every run opens
+:attr:`CoherenceProtocol.SUPPORTS_BATCH_KERNEL` on machines whose timing
+constants are dyadic (:func:`exact_timing`); everything else runs in the
+scalar loop, which is exact for every configuration.  ``REPRO_SIM_KERNEL``
+selects ``auto`` (default), ``batch`` (always batch), or ``scalar`` (never
+batch); any other value raises ``ValueError``.  In ``auto`` every run opens
 with a short scalar *cold-start* stint over a bounded decoded prefix of each
 core's trace, so the cold misses every run begins with never reach the
 kernel's probation; the kernel takes over on the first long global hit
@@ -98,13 +98,10 @@ from repro.hierarchy.cache import (
     UOP_NONE,
 )
 from repro import obs as _obs
-from repro.sim.access import MemoryAccess
 from repro.sim.columnar import (
-    CODE_ACCESS_TYPE,
     CODE_KIND,
     CODE_OP,
     CODE_OP_INDEX,
-    CODE_SIZE,
     CODE_VALUE_KIND,
     ColumnarTrace,
     KIND_LOAD,
@@ -136,7 +133,7 @@ MIN_WINDOW = 64
 #: Closed-form reductions require every partial sum to stay exactly
 #: representable: addends are non-negative dyadic rationals with <= 8
 #: fractional bits, so sums are exact while below 2**53 / 2**8 = 2**45.
-#: The guard trips well before that.
+#: The guard trips well before that, and hands the run to the scalar loop.
 _EXACT_CLOCK_LIMIT = float(1 << 44)
 
 #: Bail-out probation.  Dispatch is a pure function of the kernel's own work
@@ -187,14 +184,41 @@ _VALID_MODES = ("auto", "batch", "scalar")
 
 
 def kernel_mode() -> str:
-    """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset)."""
-    mode = os.environ.get("REPRO_SIM_KERNEL", "auto").strip().lower()
-    return mode if mode in _VALID_MODES else "auto"
+    """Kernel selection from ``REPRO_SIM_KERNEL`` (``auto`` when unset or empty).
+
+    An unknown value raises ``ValueError``: a mistyped ``scalr`` must not
+    silently run the kernel.
+    """
+    value = os.environ.get("REPRO_SIM_KERNEL", "")
+    mode = value.strip().lower() or "auto"
+    if mode not in _VALID_MODES:
+        raise ValueError(
+            f"REPRO_SIM_KERNEL must be one of {'|'.join(_VALID_MODES)}, got {value!r}"
+        )
+    return mode
 
 
-def _dyadic(value: float, bits: int = 8) -> bool:
-    """Whether ``value`` is a non-negative multiple of ``2**-bits``."""
-    return value >= 0 and float(value * (1 << bits)).is_integer()
+def exact_timing(core_model, config) -> bool:
+    """Whether the kernel's closed-form reductions are exact for a machine.
+
+    True when every timing constant a batched hit adds — CPI, the two
+    issue overheads and the L1 latency — is a non-negative multiple of
+    ``2**-8`` (see the module docstring); any other machine runs in the
+    scalar loop.
+    """
+    return all(
+        value >= 0 and float(value * 256).is_integer()
+        for value in (
+            core_model.cycles_per_instruction,
+            core_model.atomic_overhead,
+            core_model.commutative_overhead,
+            float(config.l1d.latency),
+        )
+    )
+
+
+class _ClockLimit(Exception):
+    """A hit-run would end past :data:`_EXACT_CLOCK_LIMIT`."""
 
 
 class _BatchCore:
@@ -235,10 +259,6 @@ class _BatchCore:
         "slow_priority",
         "pop_clocks",
         "end_clocks",
-        "cc_fold",
-        "mc_fold",
-        "l1_fold",
-        "cnt_folds",
         "values",
     )
 
@@ -275,10 +295,6 @@ class _BatchCore:
         self.slow_priority = 0.0
         self.pop_clocks = None
         self.end_clocks = None
-        self.cc_fold = None
-        self.mc_fold = None
-        self.l1_fold = None
-        self.cnt_folds = None
         self.values = None
 
 
@@ -320,16 +336,12 @@ class BatchedKernel:
         "_nsets_u64",
         "_core_states",
         "_l1_caches",
-        "_l2_caches",
-        "_directory_entries",
         "_track_values",
         "_memory_image",
         "_comm_local",
-        "_comm_never",
-        "_resolve_slow",
+        "_step",
         "_max_window",
         "_min_window",
-        "_exact",
         "_touched",
         "_slow_events",
         "_hits_batched",
@@ -414,31 +426,16 @@ class BatchedKernel:
 
         self._core_states = protocol.core_states
         self._l1_caches = protocol._l1_caches
-        self._l2_caches = protocol._l2_caches
-        self._directory_entries = protocol.directory._entries
         self._track_values = protocol.track_values
         self._memory_image = protocol.memory_image
         self._comm_local = protocol.HOT_COMMUTATIVE == "local"
-        self._comm_never = protocol.HOT_COMMUTATIVE == "never"
-        self._resolve_slow = protocol.resolve_slow
+        # Built per run, after any instrumentation wrapped resolve_slow.
+        self._step = protocol.make_step()
 
         self._max_window = DEFAULT_BATCH_SIZE
         self._min_window = min(MIN_WINDOW, self._max_window)
         for core in self.cores:
             core.window = self._min_window
-
-        #: Whether closed-form reductions are exact for this configuration
-        #: (see the module docstring); checked per run against the magnitude
-        #: guard and demoted permanently if it ever trips.
-        self._exact = all(
-            _dyadic(value)
-            for value in (
-                self._cpi,
-                self._atomic_overhead,
-                self._commutative_overhead,
-                float(self._l1_latency),
-            )
-        )
 
         # Cross-core invalidation feed: every slow-path _set_state records the
         # (core, line) it touched, so tag mirrors can be repaired in place and
@@ -712,7 +709,6 @@ class BatchedKernel:
         core.run_off = offset
         core.hot_len = run
         core.applied = 0
-        core.cnt_folds = None  # set only by the sequential-fold pipeline
         core.class_valid = True
         if end < core.win_len:
             core.end_reason = "slow"
@@ -728,73 +724,18 @@ class BatchedKernel:
             core.slow_priority = core.clock
             return
 
-        if self._exact:
-            folded = np.cumsum(core.win_addends[offset:end])
-            end_clocks = core.clock + folded
-            last = float(end_clocks[-1])
-            if last < _EXACT_CLOCK_LIMIT:
-                pop_clocks = np.empty(run)
-                pop_clocks[0] = core.clock
-                pop_clocks[1:] = end_clocks[:-1]
-                core.end_clocks = end_clocks
-                core.pop_clocks = pop_clocks
-                core.slow_priority = last
-                return
-            # Magnitude guard tripped: closed forms are no longer provably
-            # exact; demote to the sequential-fold pipeline for good.  Every
-            # other core's pending run was classified under the exact regime
-            # (no fold arrays), so force those to re-extract too.
-            self._exact = False
-            for other in self.cores:
-                if other is not core:
-                    other.class_valid = False
-        self._classify_folds(core, offset, end)
-
-    def _classify_folds(self, core: _BatchCore, offset: int, end: int) -> None:
-        """Sequential-fold clock/statistic arrays for a non-dyadic config.
-
-        Replays the scalar recurrence
-        ``clock = ((clock + think) + overhead) + l1_hit_total``
-        as one strictly sequential cumulative sum over the interleaved
-        addend sequence (np.cumsum accumulates left to right), and builds
-        absolute per-offset values for each statistic the run advances.
-        """
-        run = end - offset
-        core_id = core.core_id
-        stats = self.core_stats[core_id]
-        kinds_run = core.win_kinds[offset:end]
-        think = (
-            self.gaps_col[core_id][core.win_start + offset : core.win_start + end]
-            * self._cpi
-        )
-        overhead = self._overhead_by_kind[kinds_run]
-        tri = np.empty(3 * run + 1)
-        tri[0] = core.clock
-        tri[1::3] = think
-        tri[2::3] = overhead
-        tri[3::3] = self._l1_hit_total
-        folded = np.cumsum(tri)
-        end_clocks = folded[3::3]
+        end_clocks = core.clock + np.cumsum(core.win_addends[offset:end])
+        last = float(end_clocks[-1])
+        if last >= _EXACT_CLOCK_LIMIT:
+            # Closed forms are no longer provably exact: the scalar loop
+            # finishes the run.
+            raise _ClockLimit
         pop_clocks = np.empty(run)
         pop_clocks[0] = core.clock
         pop_clocks[1:] = end_clocks[:-1]
         core.end_clocks = end_clocks
         core.pop_clocks = pop_clocks
-        core.slow_priority = float(end_clocks[-1])
-        core.cc_fold = np.cumsum(
-            np.concatenate(([stats.compute_cycles], think + overhead))
-        )
-        core.mc_fold = np.cumsum(
-            np.concatenate(([stats.memory_cycles], np.full(run, self._l1_hit_total)))
-        )
-        core.l1_fold = np.cumsum(
-            np.concatenate(([stats.latency.l1], np.full(run, float(self._l1_latency))))
-        )
-        zero = np.zeros(1, dtype=np.int64)
-        core.cnt_folds = [
-            np.concatenate((zero, np.cumsum(kinds_run == kind, dtype=np.int64)))
-            for kind in range(5)
-        ]
+        core.slow_priority = last
 
     # ------------------------------------------------------------- application
 
@@ -809,12 +750,7 @@ class BatchedKernel:
         low = core.run_off + begin
         high = core.run_off + cut
 
-        # The fold regime is a per-run property: a run classified under the
-        # exact regime has no fold arrays (and its closed forms are valid —
-        # its magnitude guard passed), even if the kernel has since demoted
-        # to the fold pipeline for future classifications.
-        run_exact = core.cnt_folds is None
-        if run_exact and count <= 8:
+        if count <= 8:
             self._apply_small(core, stats, low, high, count)
             core.clock = float(core.end_clocks[cut - 1])
             core.applied = cut
@@ -823,30 +759,17 @@ class BatchedKernel:
             return
 
         kinds_seg = core.win_kinds[low:high]
-        if run_exact:
-            counts = np.bincount(kinds_seg, minlength=5)
-            comm_n = int(counts[3])
-            remote_n = int(counts[4])
-            stats.loads += int(counts[0])
-            stats.stores += int(counts[1])
-            stats.atomics += int(counts[2])
-            stats.commutative_updates += comm_n
-            stats.remote_updates += remote_n
-            stats.compute_cycles += float(np.sum(core.win_t[low:high]))
-            stats.memory_cycles += self._l1_hit_total * count
-            stats.latency.l1 += self._l1_latency * count
-        else:
-            c_load, c_store, c_atomic, c_comm, c_remote = core.cnt_folds
-            stats.loads += int(c_load[cut] - c_load[begin])
-            stats.stores += int(c_store[cut] - c_store[begin])
-            stats.atomics += int(c_atomic[cut] - c_atomic[begin])
-            comm_n = int(c_comm[cut] - c_comm[begin])
-            remote_n = int(c_remote[cut] - c_remote[begin])
-            stats.commutative_updates += comm_n
-            stats.remote_updates += remote_n
-            stats.compute_cycles = float(core.cc_fold[cut])
-            stats.memory_cycles = float(core.mc_fold[cut])
-            stats.latency.l1 = float(core.l1_fold[cut])
+        counts = np.bincount(kinds_seg, minlength=5)
+        comm_n = int(counts[3])
+        remote_n = int(counts[4])
+        stats.loads += int(counts[0])
+        stats.stores += int(counts[1])
+        stats.atomics += int(counts[2])
+        stats.commutative_updates += comm_n
+        stats.remote_updates += remote_n
+        stats.compute_cycles += float(np.sum(core.win_t[low:high]))
+        stats.memory_cycles += self._l1_hit_total * count
+        stats.latency.l1 += self._l1_latency * count
         stats.accesses += count
         stats.l1_hits += count
         core.clock = float(core.end_clocks[cut - 1])
@@ -931,13 +854,13 @@ class BatchedKernel:
     def _apply_small(
         self, core: _BatchCore, stats: CoreStats, low: int, high: int, count: int
     ) -> None:
-        """Fused scalar advance for short slices (exact regime only).
+        """Fused scalar advance for short slices.
 
         Tight interleaves shatter hit-runs into slices of a few hits; the
         vectorized reductions in :meth:`_apply` cost more than the
         interpreter work they replace there.  Everything folds with scalar
-        arithmetic, which is bit-identical because in the exact regime every
-        addend is dyadic — grouping cannot change a bit.
+        arithmetic, which is bit-identical because every addend is dyadic —
+        grouping cannot change a bit.
         """
         core_id = core.core_id
         kinds_l = core.win_kinds[low:high].tolist()
@@ -1010,24 +933,28 @@ class BatchedKernel:
     def _execute_one(self, core: _BatchCore) -> None:
         """Interpret the single access that ended a hit-run.
 
-        Line-for-line equivalent to the scalar loop's per-access body
-        (inline probe, local resolution, or :meth:`resolve_slow`), plus
-        the incremental tag-mirror and hot-mask maintenance the batched
-        classification needs.  Any change here must mirror
-        :meth:`MulticoreSimulator._run_columnar_scalar`.
+        Resolves it through the engine's step (:meth:`CoherenceProtocol.make_step`)
+        with the scalar loop's per-access accounting around it, then
+        resyncs what the access may have changed: the executing core's L1
+        set of the accessed line and of its own touched lines (a fill, an
+        L2-hit promotion and its silent victim, E->M, a U line learning
+        its op), way-in-place repairs of other cores' touched lines, and
+        the executing core's unconsumed mask entries.
         """
         core_id = core.core_id
         index = core.next_index
         code = int(self.codes_col[core_id][index])
         address = int(self.addrs_col[core_id][index])
         gap = float(self.gaps_col[core_id][index])
+        value = decode_value(
+            CODE_VALUE_KIND[code], int(self.deltas_col[core_id][index])
+        )
         core.next_index = index + 1
         core.class_valid = False
         stats = self.core_stats[core_id]
         protocol = self.protocol
 
         kind = _KIND_OF_CODE[code]
-        is_comm = False
         if kind == 0:
             overhead = 0.0
             stats.loads += 1
@@ -1040,184 +967,74 @@ class BatchedKernel:
         elif kind == 3:
             overhead = self._commutative_overhead
             stats.commutative_updates += 1
-            is_comm = True
         else:
             overhead = self._commutative_overhead
             stats.remote_updates += 1
-            is_comm = True
 
         think = gap * self._cpi
         issue_time = core.clock + think
 
-        hit_level = 0
-        line_addr = address >> self._line_shift
-        states = self._core_states[core_id]
-        state = states.get(line_addr)
-        level = None
-        promoted_victim = None
-        promoted = False
-        if state is not None and (
-            (not self._comm_never) if is_comm else (state is not StableState.UPDATE)
-        ):
-            # Same hand-duplicated private probe as the scalar loop (see the
-            # WARNING in CoherenceProtocol._private_level).
-            l1 = self._l1_caches[core_id]
-            cache_set = l1._sets.get(line_addr % l1._num_sets)
-            if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                cache_set[line_addr] = True
-                l1.hits += 1
-                level = 1
-            else:
-                l1.misses += 1
-                l2 = self._l2_caches[core_id]
-                cache_set = l2._sets.get(line_addr % l2._num_sets)
-                if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                    cache_set[line_addr] = True
-                    l2.hits += 1
-                    promoted_victim = l1.insert(line_addr)
-                    promoted = True
-                    level = 2
-                else:
-                    l2.misses += 1
-                    level = 0
-            if level:
-                if kind == 0:  # LOAD
-                    if state is not StableState.UPDATE:
-                        hit_level = level
-                elif state is StableState.MODIFIED or state is StableState.EXCLUSIVE:
-                    states[line_addr] = StableState.MODIFIED
-                    if self._track_values:
-                        if kind == 1:  # STORE
-                            value = decode_value(
-                                CODE_VALUE_KIND[code],
-                                int(self.deltas_col[core_id][index]),
-                            )
-                            if value is not None:
-                                self._memory_image[address] = value
-                        else:
-                            protocol._functional_update(
-                                self._materialize(core_id, index, code, address, gap)
-                            )
-                    if is_comm and self._comm_local:
-                        protocol.stat_local_updates += 1
-                    hit_level = level
-                elif state is StableState.UPDATE and is_comm and self._comm_local:
-                    entry = self._directory_entries.get(line_addr)
-                    op = CODE_OP[code]
-                    if op is not None and entry is not None and entry.op is op:
-                        if self._track_values:
-                            protocol._apply_local_update(
-                                core_id,
-                                self._materialize(core_id, index, code, address, gap),
-                            )
-                        protocol.stat_local_updates += 1
-                        hit_level = level
-        if not hit_level:
-            access = self._materialize(core_id, index, code, address, gap)
-            touched = self._touched
-            touched.clear()
-            obs_timing = self._obs_timing
-            if obs_timing is not None:
-                _obs_t0 = obs_timing.clock()
-            latency = self._resolve_slow(
-                core_id, access, line_addr, state, level, issue_time, stats.latency
-            )
-            if obs_timing is not None:
-                obs_timing.observe("resolve_slow", obs_timing.clock() - _obs_t0)
-                _obs_t0 = obs_timing.clock()
-            # Repair the mirrors the transaction may have moved lines in.
-            # The executing core's L1 only changes in the accessed line's set
-            # (fills and their silent same-set victims) and in the sets of
-            # its own touched lines (evictions, partial reductions); other
-            # cores only ever *lose* lines or change state on them
-            # (invalidations, downgrades) — all reported via _set_state as
-            # (core, line) pairs, repaired way-in-place.
-            self_sets = {line_addr % self._l1_num_sets}
-            if touched:
-                cores = self.cores
-                n_cores = self.n_cores
-                core_states = self._core_states
-                state_code_of = _STATE_CODE
-                for touched_id, touched_line in touched:
-                    if touched_id == core_id:
-                        self_sets.add(touched_line % self._l1_num_sets)
-                        continue
-                    if touched_id >= n_cores:
-                        continue
-                    other = cores[touched_id]
-                    if not other.stale:
-                        new_code = state_code_of[
-                            core_states[touched_id].get(touched_line)
-                        ]
-                        uop = UOP_NONE
-                        if new_code == STATE_UPDATE and self._comm_local:
-                            uop = protocol.batch_uop_code(touched_id, touched_line)
-                        other.tags.update_line(touched_line, new_code, uop)
-                        self._repair_mask_line(other, touched_line)
-                    else:
-                        other.class_valid = False
-                        other.mask = None
-                touched.clear()
-            if not core.stale:
-                self._repair_sets(core, self_sets)
-                self._suspect_mask(core)
-            if obs_timing is not None:
-                obs_timing.observe("mask_repair", obs_timing.clock() - _obs_t0)
-        elif not core.stale:
-            # Local resolution: keep the tag mirror coherent incrementally.
-            if promoted:
-                state_code = _STATE_CODE[states.get(line_addr)]
-                uop = UOP_NONE
-                if state_code == STATE_UPDATE and self._comm_local:
-                    uop = protocol.batch_uop_code(core_id, line_addr)
-                if core.tags.place(line_addr, state_code, uop, promoted_victim):
-                    # The promotion may have silently evicted a same-set L1
-                    # victim (it stays in the L2 with its state intact), so
-                    # the unconsumed mask entries must re-evaluate.
-                    self._suspect_mask(core)
-                else:
-                    core.stale = True
-                    core.mask = None
-            elif (
-                is_comm and self._comm_local and state is StableState.UPDATE
-            ):
-                # A first buffered update makes the line batchable: the
-                # mirror learns the op and the line's remaining window
-                # entries re-evaluate (typically flipping hot).
-                core.tags.set_uop(
-                    line_addr, protocol.batch_uop_code(core_id, line_addr)
-                )
-                self._suspect_mask(core)
-
-        if hit_level:
+        touched = self._touched
+        touched.clear()
+        obs_timing = self._obs_timing
+        if obs_timing is not None:
+            _obs_t0 = obs_timing.clock()
+        latency = self._step(
+            core_id, code, address, value, gap, issue_time, stats.latency
+        )
+        if obs_timing is not None:
+            obs_timing.observe("resolve_slow", obs_timing.clock() - _obs_t0)
+            _obs_t0 = obs_timing.clock()
+        if latency.__class__ is int:  # private hit
             latency_record = stats.latency
             latency_record.l1 += self._l1_latency
-            if hit_level == 1:
+            if latency == 1:
                 latency = self._l1_hit_total
             else:
                 latency_record.l2 += self._l2_latency
                 latency = self._l2_hit_total
             stats.l1_hits += 1
 
+        # Repair the mirrors the access may have moved lines in.  The
+        # executing core's L1 only changes in the accessed line's set and in
+        # the sets of its own touched lines (evictions, partial reductions);
+        # other cores only ever *lose* lines or change state on them
+        # (invalidations, downgrades) — all reported via touched_cores as
+        # (core, line) pairs, repaired way-in-place.
+        self_sets = {(address >> self._line_shift) % self._l1_num_sets}
+        if touched:
+            cores = self.cores
+            n_cores = self.n_cores
+            core_states = self._core_states
+            state_code_of = _STATE_CODE
+            for touched_id, touched_line in touched:
+                if touched_id == core_id:
+                    self_sets.add(touched_line % self._l1_num_sets)
+                    continue
+                if touched_id >= n_cores:
+                    continue
+                other = cores[touched_id]
+                if not other.stale:
+                    new_code = state_code_of[core_states[touched_id].get(touched_line)]
+                    uop = UOP_NONE
+                    if new_code == STATE_UPDATE and self._comm_local:
+                        uop = protocol.batch_uop_code(touched_id, touched_line)
+                    other.tags.update_line(touched_line, new_code, uop)
+                    self._repair_mask_line(other, touched_line)
+                else:
+                    other.class_valid = False
+                    other.mask = None
+            touched.clear()
+        if not core.stale:
+            self._repair_sets(core, self_sets)
+            self._suspect_mask(core)
+        if obs_timing is not None:
+            obs_timing.observe("mask_repair", obs_timing.clock() - _obs_t0)
+
         stats.accesses += 1
         stats.compute_cycles += think + overhead
         stats.memory_cycles += latency
         core.clock = issue_time + overhead + latency
-
-    def _materialize(
-        self, core_id: int, index: int, code: int, address: int, gap: float
-    ) -> MemoryAccess:
-        """Build the :class:`MemoryAccess` a protocol call needs (slow path)."""
-        access = MemoryAccess.__new__(MemoryAccess)
-        access.access_type = CODE_ACCESS_TYPE[code]
-        access.address = address
-        access.op = CODE_OP[code]
-        access.value = decode_value(
-            CODE_VALUE_KIND[code], int(self.deltas_col[core_id][index])
-        )
-        access.think_instructions = int(gap)
-        access.size_bytes = CODE_SIZE[code]
-        return access
 
     # --------------------------------------------------------------- scheduler
 
@@ -1273,6 +1090,18 @@ class BatchedKernel:
 
     def run(self) -> Optional[Tuple]:
         """Simulate to completion (``None``) or hand off to the scalar loop."""
+        try:
+            return self._run()
+        except _ClockLimit:
+            # Classification only reads state, and between any two
+            # retirements every core has advanced through hits that precede
+            # the next slow access in scalar order, so the run hands off
+            # exactly as a bail does.
+            if self._obs is not None:
+                self._obs.inc("kernel.bail.clock_limit")
+            return self._handoff()
+
+    def _run(self) -> Optional[Tuple]:
         cores = self.cores
         # Consecutive restarts of the event selection that moved nothing.
         # Each honest restart reclassifies one core and so reveals its event;

@@ -24,12 +24,8 @@ from repro.core.mesi import MesiProtocol
 from repro.core.meusi import MeusiProtocol
 from repro.core.protocol import CoherenceProtocol
 from repro.core.rmo import RmoProtocol
-from repro.core.states import StableState
-from repro.sim.access import MemoryAccess, WorkloadTrace
+from repro.sim.access import WorkloadTrace
 from repro.sim.columnar import (
-    CODE_ACCESS_TYPE,
-    CODE_OP,
-    CODE_SIZE,
     COMM_MIN_CODE,
     COMMUTATIVE_MIN_CODE,
     REMOTE_MIN_CODE,
@@ -127,11 +123,13 @@ class MulticoreSimulator:
         """Simulate a columnar trace via the batched kernel or the scalar loop.
 
         The three-tier hot path: the batched kernel (:mod:`repro.sim.kernel`)
-        advances whole hit-runs with vectorized scans, dropping into the
-        inline per-access probe at run boundaries, which in turn drops into
+        advances whole hit-runs with vectorized scans, resolving run
+        boundaries through the engine's one-access step
+        (:meth:`CoherenceProtocol.make_step`), which in turn drops into
         :meth:`CoherenceProtocol.resolve_slow` for protocol action.  The
-        kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``)
-        and ``REPRO_SIM_KERNEL`` allows it.  In ``auto`` mode a run opens
+        kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``),
+        the machine's timing constants are dyadic (``exact_timing``) and
+        ``REPRO_SIM_KERNEL`` allows it.  In ``auto`` mode a run opens
         with a scalar cold-start stint over the first
         :data:`COLD_START_ACCESSES` accesses of each core; the kernel bails
         out to the scalar loop mid-run when it batches too few hits per slow
@@ -149,10 +147,14 @@ class MulticoreSimulator:
             )
         workload.validate()
 
-        from repro.sim.kernel import BatchedKernel, kernel_mode
+        from repro.sim.kernel import BatchedKernel, exact_timing, kernel_mode
 
         mode = kernel_mode()
-        if mode == "scalar" or not self.protocol.SUPPORTS_BATCH_KERNEL:
+        if (
+            mode == "scalar"
+            or not self.protocol.SUPPORTS_BATCH_KERNEL
+            or not exact_timing(self.core_model, self.config)
+        ):
             return self._run_columnar_scalar(workload)
 
         # The two loops alternate on the same exact state: the kernel bails
@@ -217,11 +219,12 @@ class MulticoreSimulator:
     ):
         """The scalar simulation loop: one access per iteration over raw columns.
 
-        ``MemoryAccess`` objects are materialized lazily, and only for the
-        protocol calls whose signatures take one (``resolve_slow`` and the
-        functional-update helpers); every private hit resolves against raw
-        ints and floats.  Any change here must be mirrored in the batched
-        kernel's boundary path (``BatchedKernel._execute_one``); the golden
+        The loop owns scheduling, issue overheads, instruction counters and
+        the charging of private-hit latency; each access resolves through
+        the engine's step (:meth:`CoherenceProtocol.make_step`), which holds
+        the private-hit rules and drops into ``resolve_slow`` for protocol
+        action.  The batched kernel's boundary path
+        (``BatchedKernel._execute_one``) uses the same step; the golden
         equivalence suite pins both paths bit-identical.
 
         ``resume`` is a handoff from a bailed-out batched-kernel run:
@@ -274,7 +277,6 @@ class MulticoreSimulator:
         # -- hot-loop constants, hoisted out of the per-access path -----------
         heappush = heapq.heappush
         heappop = heapq.heappop
-        protocol = self.protocol
         cpi = self.core_model.cycles_per_instruction
         atomic_overhead = self.core_model.atomic_overhead
         commutative_overhead = self.core_model.commutative_overhead
@@ -289,27 +291,8 @@ class MulticoreSimulator:
         atomic_min = COMM_MIN_CODE
         commutative_min = COMMUTATIVE_MIN_CODE
         remote_min = REMOTE_MIN_CODE
-        code_type = CODE_ACCESS_TYPE
-        code_op = CODE_OP
-        code_size = CODE_SIZE
-        new_access = MemoryAccess.__new__
-
-        # Inline private-hit fast path (see CoherenceProtocol.resolve_slow):
-        # the loop resolves hits against the engine's own tables without a
-        # single protocol call; everything else drops into resolve_slow.
-        resolve_slow = protocol.resolve_slow
-        core_states = protocol.core_states
-        l1_caches = protocol._l1_caches
-        l2_caches = protocol._l2_caches
-        line_shift = protocol._line_shift
-        track_values = protocol.track_values
-        memory_image = protocol.memory_image
-        directory_entries = protocol.directory._entries
-        comm_local = protocol.HOT_COMMUTATIVE == "local"
-        comm_never = protocol.HOT_COMMUTATIVE == "never"
-        exclusive_s = StableState.EXCLUSIVE
-        modified_s = StableState.MODIFIED
-        update_s = StableState.UPDATE
+        # Built per run, after any instrumentation wrapped resolve_slow.
+        step = self.protocol.make_step()
 
         # Min-heap of (clock, core_id) for cores that still have work to do.
         # The core id is an explicit part of every heap entry so that cores
@@ -360,7 +343,6 @@ class MulticoreSimulator:
 
             # One fused dispatch on the packed type code (integer range
             # compares): issue overhead and the per-type instruction counters.
-            is_comm = False
             if code < store_min:  # LOAD
                 overhead = 0.0
                 stats.loads += 1
@@ -373,101 +355,27 @@ class MulticoreSimulator:
             elif code < remote_min:  # COMMUTATIVE_UPDATE
                 overhead = commutative_overhead
                 stats.commutative_updates += 1
-                is_comm = True
             else:  # REMOTE_UPDATE
                 overhead = commutative_overhead
                 stats.remote_updates += 1
-                is_comm = True
 
             think = gap * cpi
             issue_time = clock + think
 
-            hit_level = 0
-            line_addr = address >> line_shift
-            states = core_states[core_id]
-            state = states.get(line_addr)
-            level = None
-            if state is not None and (
-                (not comm_never) if is_comm else (state is not update_s)
-            ):
-                # Probe the private caches only when a hit is possible under
-                # this engine's rules; any access the transaction path would
-                # probe but this loop does not is probed inside resolve_slow
-                # instead, so the lookup happens exactly once.  Same side
-                # effects as CoherenceProtocol._private_level — the probe is
-                # hand-duplicated for speed; change every copy listed in its
-                # WARNING together.
-                l1 = l1_caches[core_id]
-                cache_set = l1._sets.get(line_addr % l1._num_sets)
-                if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                    cache_set[line_addr] = True
-                    l1.hits += 1
-                    level = 1
-                else:
-                    l1.misses += 1
-                    l2 = l2_caches[core_id]
-                    cache_set = l2._sets.get(line_addr % l2._num_sets)
-                    if cache_set is not None and cache_set.pop(line_addr, None) is not None:
-                        cache_set[line_addr] = True
-                        l2.hits += 1
-                        l1.insert(line_addr)
-                        level = 2
-                    else:
-                        l2.misses += 1
-                        level = 0
-                if level:
-                    if code < store_min:  # LOAD
-                        if state is not update_s:
-                            hit_level = level
-                    elif state is modified_s or state is exclusive_s:
-                        states[line_addr] = modified_s
-                        if track_values:
-                            if code < atomic_min:  # STORE
-                                value = values_pc[core_id][index]
-                                if value is not None:
-                                    memory_image[address] = value
-                            else:
-                                access = new_access(MemoryAccess)
-                                access.access_type = code_type[code]
-                                access.address = address
-                                access.op = code_op[code]
-                                access.value = values_pc[core_id][index]
-                                access.think_instructions = int(gap)
-                                access.size_bytes = code_size[code]
-                                protocol._functional_update(access)
-                        if is_comm and comm_local:
-                            protocol.stat_local_updates += 1
-                        hit_level = level
-                    elif state is update_s and is_comm and comm_local:
-                        entry = directory_entries.get(line_addr)
-                        op = code_op[code]
-                        if op is not None and entry is not None and entry.op is op:
-                            if track_values:
-                                access = new_access(MemoryAccess)
-                                access.access_type = code_type[code]
-                                access.address = address
-                                access.op = op
-                                access.value = values_pc[core_id][index]
-                                access.think_instructions = int(gap)
-                                access.size_bytes = code_size[code]
-                                protocol._apply_local_update(core_id, access)
-                            protocol.stat_local_updates += 1
-                            hit_level = level
-            if not hit_level:
-                access = new_access(MemoryAccess)
-                access.access_type = code_type[code]
-                access.address = address
-                access.op = code_op[code]
-                access.value = values_pc[core_id][index]
-                access.think_instructions = int(gap)
-                access.size_bytes = code_size[code]
-                latency = resolve_slow(
-                    core_id, access, line_addr, state, level, issue_time, stats.latency
-                )
-            if hit_level:
+            latency = step(
+                core_id,
+                code,
+                address,
+                values_pc[core_id][index],
+                gap,
+                issue_time,
+                stats.latency,
+            )
+            hit = latency.__class__ is int
+            if hit:
                 latency_record = stats.latency
                 latency_record.l1 += l1_latency
-                if hit_level == 1:
+                if latency == 1:
                     latency = l1_hit_total
                 else:
                     latency_record.l2 += l2_latency
@@ -480,7 +388,7 @@ class MulticoreSimulator:
 
             heappush(heap, (issue_time + overhead + latency, core_id))
 
-            if hit_level:
+            if hit:
                 hit_streak += 1
                 if hit_streak == REENTER_STREAK and reenter:
                     # Every core is hitting: hand the hot stretch back to the
@@ -593,7 +501,6 @@ def compare_protocols(
     protocols: Sequence[str] = ("MESI", "COUP"),
     *,
     track_values: bool = False,
-    share_trace: bool = True,
 ) -> Dict[str, SimulationResult]:
     """Run the same workload under several protocols.
 
@@ -601,15 +508,9 @@ def compare_protocols(
     is deterministic and the simulator never mutates a trace, so the one
     materialized trace is shared across every protocol (the equivalence
     suite pins that results are bit-identical to per-protocol regeneration).
-    ``share_trace=False`` restores the old regenerate-per-protocol behavior,
-    which only matters for diagnosing a workload whose generation has become
-    nondeterministic.
     """
-    results: Dict[str, SimulationResult] = {}
-    workload = workload_factory(config.n_cores) if share_trace else None
-    for protocol in protocols:
-        trace = workload if share_trace else workload_factory(config.n_cores)
-        results[protocol] = simulate(
-            trace, config, protocol, track_values=track_values
-        )
-    return results
+    workload = workload_factory(config.n_cores)
+    return {
+        protocol: simulate(workload, config, protocol, track_values=track_values)
+        for protocol in protocols
+    }

@@ -569,13 +569,10 @@ class TestTraceSharing:
         shared = compare_protocols(
             factory, config, protocols=("MESI", "COUP", "RMO"), track_values=True
         )
-        regenerated = compare_protocols(
-            factory,
-            config,
-            protocols=("MESI", "COUP", "RMO"),
-            track_values=True,
-            share_trace=False,
-        )
+        regenerated = {
+            protocol: simulate(factory(4), config, protocol, track_values=True)
+            for protocol in ("MESI", "COUP", "RMO")
+        }
         assert shared == regenerated
 
     def test_simulating_a_trace_does_not_mutate_it(self):

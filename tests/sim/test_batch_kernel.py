@@ -16,9 +16,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.states import StableState
 from repro.hierarchy.cache import (
+    STATE_ABSENT,
     STATE_EXCLUSIVE,
     STATE_MODIFIED,
+    STATE_SHARED,
     TagArray,
     UOP_NONE,
 )
@@ -154,8 +157,10 @@ def test_auto_mode_bit_identical(
         )
 
 
-def test_non_dyadic_config_uses_fold_pipeline(monkeypatch):
-    """A non-dyadic CPI forces the sequential-fold path; results still match."""
+def test_non_dyadic_config_runs_scalar(monkeypatch):
+    """A non-dyadic CPI never enters the kernel, in batch mode too."""
+    import repro.sim.kernel as kernel_module
+
     config = small_test_config(4)
     config = dataclasses.replace(
         config, core=dataclasses.replace(config.core, cycles_per_instruction=0.3)
@@ -167,13 +172,48 @@ def test_non_dyadic_config_uses_fold_pipeline(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
     reference = simulate(trace, config, "COUP", track_values=True)
 
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
-    engine = make_protocol("COUP", config, track_values=True)
-    simulator = MulticoreSimulator(config, engine, track_values=True)
-    kernel = BatchedKernel(simulator, trace, force=True)
-    assert not kernel._exact  # 0.3 is not a dyadic rational
-    batched = simulator.run(trace)
-    assert batched.to_jsonable() == reference.to_jsonable()
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a non-dyadic configuration entered the kernel")
+
+    monkeypatch.setattr(kernel_module, "BatchedKernel", no_kernel)
+    for mode in ("batch", "auto"):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
+        result = simulate(trace, config, "COUP", track_values=True)
+        assert result.to_jsonable() == reference.to_jsonable()
+
+
+@pytest.mark.parametrize("workload_name", ["hist", "multi-counter"])
+def test_clock_guard_hands_run_to_scalar(workload_name, traces, monkeypatch):
+    """A hit-run crossing the exactness guard finishes in the scalar loop.
+
+    The guard is lowered so it trips early, mid-run and late; the runs
+    still match the scalar loop, and the lowest guard certainly trips.
+    """
+    import repro.obs as obs
+    import repro.sim.kernel as kernel_module
+    import repro.sim.simulator as sim_module
+
+    trace = traces[workload_name]
+    config = small_test_config(N_CORES)
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
+    reference = simulate(trace, config, "COUP", track_values=True).to_jsonable()
+    # Hand auto's cold start to the kernel early, so auto reaches the guard.
+    monkeypatch.setattr(sim_module, "COLD_START_ACCESSES", 16)
+    for limit in (1e3, 1e4, 1e5):
+        monkeypatch.setattr(kernel_module, "_EXACT_CLOCK_LIMIT", limit)
+        for mode in ("batch", "auto"):
+            monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
+            registry = obs.reconfigure("counters")
+            try:
+                result = simulate(trace, config, "COUP", track_values=True)
+                trips = registry.counter("kernel.bail.clock_limit")
+            finally:
+                obs.reconfigure()
+            assert result.to_jsonable() == reference, (
+                f"{workload_name} diverges under {mode} with the guard at {limit}"
+            )
+            if limit == 1e3 and mode == "batch":
+                assert trips > 0
 
 
 @pytest.mark.parametrize(
@@ -274,7 +314,10 @@ def test_scalar_reenters_kernel_on_hit_streak(monkeypatch):
 def test_env_knob_parsing(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_KERNEL", "BATCH")
     assert kernel_mode() == "batch"
-    monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "scalr")
+    with pytest.raises(ValueError, match=r"auto\|batch\|scalar"):
+        kernel_mode()
+    monkeypatch.setenv("REPRO_SIM_KERNEL", " ")
     assert kernel_mode() == "auto"
     monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
     assert kernel_mode() == "auto"
@@ -340,40 +383,44 @@ class TestTagArray:
     def _config(self):
         return small_test_config(2).l1d
 
-    def test_place_and_remove(self):
+    def test_update_line_downgrades_and_removes(self):
         tags = TagArray(self._config())
-        assert tags.place(0x40, STATE_EXCLUSIVE, UOP_NONE)
+        tags.fill_way(0x40 % tags.num_sets, 0, 0x40, STATE_EXCLUSIVE, UOP_NONE)
         assert tags.resident(0x40)
-        tags.update_line(0x40, STATE_MODIFIED, UOP_NONE)
+        tags.update_line(0x40, STATE_SHARED, UOP_NONE)
         assert tags.resident(0x40)
-        tags.update_line(0x40, 0, UOP_NONE)  # STATE_ABSENT removes
+        assert tags.state[0x40 % tags.num_sets, 0] == STATE_SHARED
+        tags.update_line(0x40, STATE_ABSENT, UOP_NONE)
         assert not tags.resident(0x40)
 
-    def test_place_with_victim_replaces_way(self):
-        config = self._config()
-        tags = TagArray(config)
-        num_sets = config.num_sets
-        first = num_sets  # both map to set 0
-        second = 2 * num_sets
-        assert tags.place(first, STATE_EXCLUSIVE, UOP_NONE)
-        assert tags.place(second, STATE_MODIFIED, UOP_NONE, victim_addr=first)
-        assert not tags.resident(first)
-        assert tags.resident(second)
-
-    def test_place_fails_when_no_slot(self):
-        config = self._config()
-        tags = TagArray(config)
-        num_sets = config.num_sets
-        for way in range(config.ways):
-            assert tags.place((way + 1) * num_sets, STATE_EXCLUSIVE, UOP_NONE)
-        # Set 0 is full and the victim is not resident: must report failure.
-        missing_victim = (config.ways + 5) * num_sets
-        assert not tags.place(
-            (config.ways + 1) * num_sets,
-            STATE_EXCLUSIVE,
-            UOP_NONE,
-            victim_addr=missing_victim,
+    def test_repair_sets_resyncs_a_set_from_the_object_cache(self):
+        """A repaired set mirrors the L1's current lines and states."""
+        config = small_test_config(2)
+        engine = make_protocol("MESI", config)
+        trace = ColumnarTrace.from_workload(
+            WorkloadTrace(name="empty", per_core=[[MemoryAccess.load(0)], []])
         )
+        kernel = BatchedKernel(MulticoreSimulator(config, engine), trace)
+        core = kernel.cores[0]
+        num_sets = config.l1d.num_sets
+        first, second, third = num_sets, 2 * num_sets, 3 * num_sets  # set 0
+        l1 = engine.hierarchy.l1[0]
+        for line_addr in (first, second):
+            l1.insert(line_addr)
+        engine.core_states[0][first] = StableState.MODIFIED
+        engine.core_states[0][second] = StableState.SHARED
+        kernel._rebuild_tags(core)
+        # The object cache moves on: one line leaves, another arrives.
+        l1.invalidate(first)
+        l1.insert(third)
+        engine.core_states[0][third] = StableState.EXCLUSIVE
+        assert core.tags.resident(first) and not core.tags.resident(third)
+        kernel._repair_sets(core, {0})
+        assert not core.tags.resident(first)
+        assert core.tags.resident(second) and core.tags.resident(third)
+        states = dict(zip(core.tags.tags[0].tolist(), core.tags.state[0].tolist()))
+        assert states[second] == STATE_SHARED
+        assert states[third] == STATE_EXCLUSIVE
 
     def test_update_absent_line_is_noop(self):
         tags = TagArray(self._config())
