@@ -9,16 +9,16 @@ Two measurements, both pinned bit-identical and recorded in
   the suite gates a >=3x geomean wall-clock speedup of the default ``auto``
   kernel over the forced-scalar loop.
 * **Paper workload grid** — the five Table 2 benchmarks under MESI (atomic)
-  and COUP (commutative).  These are slow-path-dominated, which is exactly
-  the regime group retirement targets: the kernel merges independent slow
-  accesses fleet-wide in canonical ``(clock, core id)`` order instead of
-  paying per-event dispatch.  The gates are (a) a grid-wide geomean
+  and COUP (commutative).  These are slow-path-dominated: ``auto`` opens
+  each run with a scalar cold-start stint, hands hot stretches to the
+  kernel, and bails back to the scalar loop as soon as a probation
+  interval shows too few batched hits per slow event, so on this grid it
+  should track the scalar loop.  The gates are (a) a grid-wide geomean
   speedup of ``auto`` over forced-scalar of at least ``MIN_GRID_GEOMEAN``,
-  and (b) a per-point regression floor ``MIN_POINT_SPEEDUP``: on
-  conflict-dense points where the merge's entry gate declines (cross-op
-  stretches, reduction triggers), ``auto`` bails out as soon as a probation
-  interval shows too few batched hits per slow event, and must track the
-  scalar loop.  Every point is always asserted bit-identical.
+  and (b) a per-point regression floor ``MIN_POINT_SPEEDUP``.  Both are
+  asserted only when the grid's forced-scalar total reaches
+  ``MIN_GATED_GRID_SECONDS``.  Every point is always asserted
+  bit-identical.
 
 Timings use min-of-N over interleaved rounds (the two modes execute the
 same simulation, so min is the noise-robust estimator of true cost).
@@ -54,15 +54,16 @@ REPEATS = max(BENCH_REPEATS, 3)
 #: Geomean gate on the hit-run microbenchmark (ISSUE 5 acceptance).
 MIN_MICRO_SPEEDUP = 3.0
 
-#: Geomean gate on the paper grid: group retirement must keep ``auto``
-#: ahead of the scalar loop across the ten (workload, protocol) points.
-#: Measured headroom at scale 1.0 on the reference host is ~1.15-1.25x.
+#: Geomean gate on the paper grid: ``auto`` must stay ahead of the scalar
+#: loop across the ten (workload, protocol) points.  ``auto`` mostly runs
+#: the scalar loop on this grid; at scale 1.0 two runs measured 0.959x and
+#: 1.016x, so the gate fails whenever it is armed (ROADMAP item 5).
 MIN_GRID_GEOMEAN = 1.02
 
 #: Per-point regression floor: no grid point may lose more than this to
-#: the scalar loop.  Points where the merge's entry gate declines cost one
-#: probed kernel stint (a handful of slow events) plus a few self-limited
-#: merge attempts; the rest is host timing jitter.
+#: the scalar loop.  A conflict-dense point costs ``auto`` the kernel
+#: stints probation bails out of (a handful of slow events each); the rest
+#: is host timing jitter.
 MIN_POINT_SPEEDUP = 0.85
 
 #: Points whose forced-scalar run is shorter than this are recorded but
@@ -220,7 +221,7 @@ def test_kernel_speedup_and_fallback(benchmark):
         )
     if grid_gated:
         assert grid_geomean >= MIN_GRID_GEOMEAN, (
-            f"group-retirement grid speedup geomean {grid_geomean:.2f}x "
+            f"paper-grid speedup geomean {grid_geomean:.2f}x "
             f"below the {MIN_GRID_GEOMEAN}x gate: {entry}"
         )
         if grid_min_gated_speedup is not None:

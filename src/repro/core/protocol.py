@@ -3,10 +3,11 @@
 A protocol engine owns all coherence state for one simulation run: per-core
 private line states, directory entries, reduction units, and the functional
 memory image used to check results.  The simulator hands it one access at a
-time (in global-time order); the engine charges the access's critical-path
-latency, broken down by level, to the issuing core's
-:class:`~repro.sim.stats.LatencyBreakdown` and returns the total, recording
-the traffic generated and the coherence actions taken along the way.  The
+time (in global-time order) through the engine's one-access step
+(:meth:`CoherenceProtocol.make_step`), which charges the access's issue
+timing and critical-path latency, broken down by level, to the issuing
+core's :class:`~repro.sim.stats.CoreStats`; the engine records the traffic
+generated and the coherence actions taken along the way.  The
 public :meth:`CoherenceProtocol.access` API wraps one access in an
 :class:`AccessOutcome` for tests and interactive use.
 
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.commutative import CommutativeOp
 from repro.core.directory import Directory
 from repro.core.reduction import ReductionUnit
 from repro.core.states import StableState
@@ -38,14 +38,16 @@ from repro.sim.columnar import (
     CODE_OF_SHAPE,
     CODE_OP,
     CODE_SIZE,
+    COMM_MIN_CODE,
     COMMUTATIVE_MIN_CODE,
     KIND_COMMUTATIVE,
     KIND_LOAD,
+    REMOTE_MIN_CODE,
     UPDATE_MIN_CODE,
     TraceCodecError,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.stats import LatencyBreakdown
+from repro.sim.stats import CoreStats, LatencyBreakdown
 
 @dataclass(slots=True)
 class AccessOutcome:
@@ -190,18 +192,6 @@ class CoherenceProtocol(abc.ABC):
         """
         return self.memory_image.get(address, 0)
 
-    def _write_word(self, address: int, value) -> None:
-        if self.track_values and value is not None:
-            self.memory_image[address] = value
-
-    def _apply_update(self, address: int, op: CommutativeOp, value) -> None:
-        if not self.track_values or value is None:
-            return
-        current = self.memory_image.get(address, op.identity if address not in self.memory_image else 0)
-        if address not in self.memory_image:
-            current = 0 if op.identity == 0 or isinstance(op.identity, float) else op.identity
-        self.memory_image[address] = op.apply(current, value)
-
     # -- telemetry -------------------------------------------------------------
 
     def obs_fold_stats(self) -> None:
@@ -237,13 +227,15 @@ class CoherenceProtocol(abc.ABC):
     def access(self, core_id: int, access: MemoryAccess, now: float) -> AccessOutcome:
         """Resolve one access issued by ``core_id`` at simulator time ``now``.
 
-        The public one-access API: runs the access through :meth:`make_step`
-        against a fresh :class:`LatencyBreakdown` — exactly as the simulator
-        would at issue time ``now`` — and describes the result as an
-        :class:`AccessOutcome`.  ``invalidations`` counts the caches the
-        access invalidated or downgraded (from the engine's aggregate
-        statistics) and ``value`` is the word's value after the access for
-        loads, and for atomics an engine executes as read-modify-writes.
+        The public one-access API: retires the access through
+        :meth:`make_step` against a fresh :class:`CoreStats`, issued at
+        ``now`` with no think time (the caller owns the core's clock), and
+        describes the result as an :class:`AccessOutcome`.  The latency
+        breakdown and ``private_hit`` are read from those statistics;
+        ``invalidations`` counts the caches the access invalidated or
+        downgraded (from the engine's aggregate statistics) and ``value`` is
+        the word's value after the access for loads, and for atomics an
+        engine executes as read-modify-writes.
         """
         access_type = access.access_type
         try:
@@ -253,31 +245,18 @@ class CoherenceProtocol(abc.ABC):
                 f"unrepresentable access shape: type={access_type}, "
                 f"op={access.op}, size_bytes={access.size_bytes}"
             ) from None
-        latency = LatencyBreakdown()
+        stats = CoreStats(core_id=core_id)
         invalidations = self.stat_invalidations
         downgrades = self.stat_downgrades
         reductions = self.stat_full_reductions
-        level = self.make_step()(
-            core_id,
-            code,
-            access.address,
-            access.value,
-            float(access.think_instructions),
-            now,
-            latency,
-        )
-        private_hit = level.__class__ is int
-        if private_hit:
-            latency.l1 += self._l1_latency
-            if level == 2:
-                latency.l2 += self._l2_latency
+        self.make_step()(core_id, code, access.address, access.value, 0.0, now, stats)
         returns_value = self.track_values and access_type is not AccessType.STORE and (
             self.HOT_COMMUTATIVE == "atomic" or not access_type.is_commutative
         )
         return AccessOutcome(
-            latency=latency,
+            latency=stats.latency,
             value=self.memory_image.get(access.address, 0) if returns_value else None,
-            private_hit=private_hit,
+            private_hit=stats.l1_hits == 1,
             invalidations=max(
                 self.stat_invalidations - invalidations,
                 self.stat_downgrades - downgrades,
@@ -285,31 +264,43 @@ class CoherenceProtocol(abc.ABC):
             full_reduction=self.stat_full_reductions > reductions,
         )
 
-    def make_step(self) -> Callable[..., Union[int, float]]:
-        """Build the one-access step: the only statement of the private-hit rules.
+    def make_step(self) -> Callable[..., float]:
+        """Build the one-access step: the only place an access is retired.
 
-        Returns ``step(core_id, code, address, value, gap, now, latency)``,
-        which resolves one access given as its packed ``type_code`` (see
+        Returns ``step(core_id, code, address, value, gap, clock, stats)``,
+        which retires one access given as its packed ``type_code`` (see
         :mod:`repro.sim.columnar`), byte address, decoded operand value and
-        think count, issued at ``now``.  A core satisfies an access in its
-        private caches only under its stable state: S/E/M for a load, E/M
-        for a store or atomic (left in M), and — per
-        :attr:`HOT_COMMUTATIVE` — E/M or, under ``"local"``, U with the
-        directory entry's op for a commutative or remote update.  Such a
-        hit applies its functional effect and returns the hit level (``1``
-        L1, ``2`` L2) without charging anything: the caller charges the
-        fixed private-hit latency.  Every other access is materialized as a
-        :class:`MemoryAccess` and returns :meth:`resolve_slow`'s latency
-        total, a float.
+        think count, for a core whose clock reads ``clock``, and returns the
+        access's completion time.  The step owns the whole per-access rule:
+
+        * **Issue timing** (paper Sec. 5.1): the access issues after its
+          think time, ``gap * cpi``, and occupies the core for a per-type
+          issue overhead — atomics pay the full µop and fence cost,
+          commutative and remote updates a smaller one — before memory
+          latency.  Both constants come from ``config.core``, converted as
+          :class:`~repro.sim.core_model.CoreTimingModel` converts them.
+        * **Private hits.**  A core satisfies an access in its private
+          caches only under its stable state: S/E/M for a load, E/M for a
+          store or atomic (left in M), and — per :attr:`HOT_COMMUTATIVE` —
+          E/M or, under ``"local"``, U with the directory entry's op for a
+          commutative or remote update.  Such a hit applies its functional
+          effect and is charged the fixed L1 (or L1 + L2) latency.  Every
+          other access is materialized as a :class:`MemoryAccess` and
+          charged :meth:`resolve_slow`'s total.
+        * **Accounting**: the per-type counter, ``accesses``,
+          ``compute_cycles`` (think time plus issue overhead),
+          ``memory_cycles``, ``l1_hits`` (one per private hit, at either
+          level) and the latency breakdown, all on ``stats``.
 
         The private caches are probed (once, through :meth:`_private_level`)
         only when a hit is possible; any other access is probed inside
         :meth:`resolve_slow` if its transaction needs one.  The engine's
         tables — and ``self.resolve_slow`` itself, which instrumentation
         may wrap — are hoisted when the step is built, so build one per run.
-        The scalar loop, the batched kernel's boundary accesses and
-        :meth:`access` all resolve through it; :meth:`hot_mask` is its
-        vectorized twin.
+        The scalar loop, the batched kernel's boundary accesses and short
+        hit-run slices, and :meth:`access` all retire through it;
+        :meth:`hot_mask` is the vectorized twin of its private-hit rules and
+        the kernel's long-slice path the vectorized twin of its accounting.
         """
         # The MESI family's tables; MEUSI adds the U-line hooks.
         protocol: Any = self
@@ -321,36 +312,67 @@ class CoherenceProtocol(abc.ABC):
         track_values = self.track_values
         comm_local = self.HOT_COMMUTATIVE == "local"
         comm_never = self.HOT_COMMUTATIVE == "never"
+        core = self.config.core
+        cpi = core.cycles_per_instruction
+        atomic_overhead = float(core.atomic_uop_overhead)
+        commutative_overhead = float(core.commutative_uop_overhead)
+        l1_latency = self._l1_latency
+        l2_latency = self._l2_latency
+        l1_hit_total = l1_latency + 0.0
+        l2_hit_total = l1_latency + l2_latency + 0.0
         new_access = MemoryAccess.__new__
         code_type = CODE_ACCESS_TYPE
         code_op = CODE_OP
         code_size = CODE_SIZE
+        # type_code classification bounds: loads, then stores, then atomic,
+        # commutative and remote updates in ascending code ranges.
         store_min = UPDATE_MIN_CODE
+        atomic_min = COMM_MIN_CODE
         commutative_min = COMMUTATIVE_MIN_CODE
+        remote_min = REMOTE_MIN_CODE
         exclusive = StableState.EXCLUSIVE
         modified = StableState.MODIFIED
         update = StableState.UPDATE
 
-        def step(core_id, code, address, value, gap, now, latency):
+        def step(core_id, code, address, value, gap, clock, stats):
+            if code < store_min:
+                overhead = 0.0
+                stats.loads += 1
+            elif code < atomic_min:
+                overhead = 0.0
+                stats.stores += 1
+            elif code < commutative_min:
+                overhead = atomic_overhead
+                stats.atomics += 1
+            elif code < remote_min:
+                overhead = commutative_overhead
+                stats.commutative_updates += 1
+            else:
+                overhead = commutative_overhead
+                stats.remote_updates += 1
+            think = gap * cpi
+            issue_time = clock + think
+
             line_addr = address >> line_shift
             states = core_states[core_id]
             state = states.get(line_addr)
             level = None
+            hit = False
             if state is not None and (
                 (not comm_never) if code >= commutative_min else state is not update
             ):
                 level = private_level(core_id, line_addr)
                 if level:
                     if code < store_min:  # LOAD under S/E/M
-                        return level
-                    if state is modified or state is exclusive:
+                        hit = True
+                    elif state is modified or state is exclusive:
                         states[line_addr] = modified
                         if track_values:
                             protocol._functional_write(address, code_op[code], value)
                         if comm_local and code >= commutative_min:
                             protocol.stat_local_updates += 1
-                        return level
-                    if state is update and comm_local:
+                        hit = True
+                    elif state is update and comm_local:
                         # A same-op update buffers in the core's U line.
                         op = code_op[code]
                         entry = directory_entries.get(line_addr)
@@ -360,15 +382,31 @@ class CoherenceProtocol(abc.ABC):
                                     address, value
                                 )
                             protocol.stat_local_updates += 1
-                            return level
-            access = new_access(MemoryAccess)
-            access.access_type = code_type[code]
-            access.address = address
-            access.op = code_op[code]
-            access.value = value
-            access.think_instructions = int(gap)
-            access.size_bytes = code_size[code]
-            return resolve_slow(core_id, access, line_addr, state, level, now, latency)
+                            hit = True
+            if hit:
+                latency_record = stats.latency
+                latency_record.l1 += l1_latency
+                if level == 1:
+                    latency = l1_hit_total
+                else:
+                    latency_record.l2 += l2_latency
+                    latency = l2_hit_total
+                stats.l1_hits += 1
+            else:
+                access = new_access(MemoryAccess)
+                access.access_type = code_type[code]
+                access.address = address
+                access.op = code_op[code]
+                access.value = value
+                access.think_instructions = int(gap)
+                access.size_bytes = code_size[code]
+                latency = resolve_slow(
+                    core_id, access, line_addr, state, level, issue_time, stats.latency
+                )
+            stats.accesses += 1
+            stats.compute_cycles += think + overhead
+            stats.memory_cycles += latency
+            return issue_time + overhead + latency
 
         return step
 
@@ -399,7 +437,7 @@ class CoherenceProtocol(abc.ABC):
         ``l1``, ``l2``, ``l3``, ``offchip_network``, ``l4``,
         ``l4_invalidations``, ``main_memory``, ``serialization`` — and
         returns their total, summed in the same order, as a float.  Nothing
-        is allocated per access; the caller charges the total to the core's
+        is allocated per access; the step charges the total to the core's
         clock and memory cycles.
         """
 

@@ -10,7 +10,7 @@ register result but keep the implicit fence for TSO, Sec. 5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.access import AccessType, MemoryAccess
 from repro.sim.config import CoreConfig
@@ -18,19 +18,15 @@ from repro.sim.config import CoreConfig
 
 @dataclass(slots=True)
 class CoreTimingModel:
-    """Charges compute cycles for the non-memory part of the instruction stream."""
+    """Charges compute cycles for the non-memory part of the instruction stream.
+
+    The reference statement of the issue-timing rule.  The simulator does
+    not use it: :meth:`CoherenceProtocol.make_step` hoists the same
+    constants from ``config.core``, with the same ``float`` conversions, and
+    ``tests/sim/test_access_api.py`` replays simulations against this model.
+    """
 
     config: CoreConfig
-    cycles_per_instruction: float = field(init=False)
-    atomic_overhead: float = field(init=False)
-    commutative_overhead: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        # Hot-path constants: the simulator inlines the per-access timing
-        # arithmetic, so the per-type overheads are exposed as plain floats.
-        self.cycles_per_instruction = self.config.cycles_per_instruction
-        self.atomic_overhead = float(self.config.atomic_uop_overhead)
-        self.commutative_overhead = float(self.config.commutative_uop_overhead)
 
     def think_cycles(self, access: MemoryAccess) -> float:
         """Cycles spent on the instructions preceding this access."""

@@ -18,12 +18,15 @@ the interpreter from that common case:
   (a clean-watermark, amortized O(1) per access), and touched cores repair
   exactly their touched line's occurrences — so classification cost
   amortizes over the window even when hit-runs are short.
-* A *hit-run* — a maximal hot prefix of the mask — is advanced with O(1)
-  Python work: clocks, compute/memory cycles, latency and per-type counters
-  are all computed with NumPy reductions over the run, and LRU order is
-  refreshed once per distinct line, in order of its last hit.  The first
-  non-hit resolves through the same one-access step
-  (:meth:`CoherenceProtocol.make_step`) the scalar loop uses.
+* A *hit-run* — a maximal hot prefix of the mask — is retired in slices.
+  A slice longer than :data:`MAX_STEP_SLICE` advances with O(1) Python
+  work: clocks, compute/memory cycles, latency and per-type counters are
+  all computed with NumPy reductions over the slice, and LRU order is
+  refreshed once per distinct line, in order of its last hit.  A shorter
+  slice, and the first non-hit after a run, retire one access at a time
+  through the same step (:meth:`CoherenceProtocol.make_step`) the scalar
+  loop uses; a step-retired slice that is not all private hits raises
+  ``RuntimeError``.
 
 Bit-identity
 ------------
@@ -121,9 +124,13 @@ _STATE_CODE = {
     StableState.UPDATE: STATE_UPDATE,
 }
 
-#: Python-level twin of the NumPy kind table, for the one-access-at-a-time
-#: boundary path (indexing a tuple beats indexing a NumPy array from Python).
-_KIND_OF_CODE = tuple(int(kind) for kind in CODE_KIND)
+#: Hit-run slices of at most this many accesses retire one access at a time
+#: through the engine's step (:meth:`CoherenceProtocol.make_step`); longer
+#: ones through NumPy reductions over the slice.  Tight interleaves shatter
+#: hit-runs into slices of a few hits, where the reductions' fixed cost
+#: exceeds the interpreter work they replace.  Of 8, 16, 32 and 64, 16 was
+#: fastest on the forced-batch paper grid (scale 0.5, 16 cores).
+MAX_STEP_SLICE = 16
 
 #: Upper bound on the classification window (accesses per chunk).
 DEFAULT_BATCH_SIZE = 4096
@@ -198,20 +205,21 @@ def kernel_mode() -> str:
     return mode
 
 
-def exact_timing(core_model, config) -> bool:
+def exact_timing(config) -> bool:
     """Whether the kernel's closed-form reductions are exact for a machine.
 
     True when every timing constant a batched hit adds — CPI, the two
-    issue overheads and the L1 latency — is a non-negative multiple of
-    ``2**-8`` (see the module docstring); any other machine runs in the
-    scalar loop.
+    issue overheads (``config.core``) and the L1 latency — is a
+    non-negative multiple of ``2**-8`` (see the module docstring); any
+    other machine runs in the scalar loop.
     """
+    core = config.core
     return all(
         value >= 0 and float(value * 256).is_integer()
         for value in (
-            core_model.cycles_per_instruction,
-            core_model.atomic_overhead,
-            core_model.commutative_overhead,
+            core.cycles_per_instruction,
+            float(core.atomic_uop_overhead),
+            float(core.commutative_uop_overhead),
             float(config.l1d.latency),
         )
     )
@@ -323,12 +331,8 @@ class BatchedKernel:
         "n_phases",
         "cores",
         "_cpi",
-        "_atomic_overhead",
-        "_commutative_overhead",
         "_l1_latency",
-        "_l2_latency",
         "_l1_hit_total",
-        "_l2_hit_total",
         "_overhead_by_kind",
         "_line_shift",
         "_shift_u64",
@@ -401,23 +405,17 @@ class BatchedKernel:
         for core in self.cores:
             self._update_limit(core)
 
-        # -- hoisted constants (mirrors the scalar loop's hoists) --------------
-        core_model = simulator.core_model
-        self._cpi = core_model.cycles_per_instruction
-        self._atomic_overhead = core_model.atomic_overhead
-        self._commutative_overhead = core_model.commutative_overhead
+        # -- the long-slice path's twin of the step's timing constants -------
+        core_config = config.core
+        atomic_overhead = float(core_config.atomic_uop_overhead)
+        commutative_overhead = float(core_config.commutative_uop_overhead)
+        self._cpi = core_config.cycles_per_instruction
         self._l1_latency = config.l1d.latency
-        self._l2_latency = config.l2.latency
         self._l1_hit_total = self._l1_latency + 0.0
-        self._l2_hit_total = self._l1_latency + self._l2_latency + 0.0
+        #: Issue overhead per ``CODE_KIND``: load, store, atomic,
+        #: commutative, remote.
         self._overhead_by_kind = np.array(
-            [
-                0.0,
-                0.0,
-                self._atomic_overhead,
-                self._commutative_overhead,
-                self._commutative_overhead,
-            ]
+            [0.0, 0.0, atomic_overhead, commutative_overhead, commutative_overhead]
         )
         self._line_shift = protocol._line_shift
         self._shift_u64 = np.uint64(self._line_shift)
@@ -740,7 +738,15 @@ class BatchedKernel:
     # ------------------------------------------------------------- application
 
     def _apply(self, core: _BatchCore, cut: int) -> None:
-        """Advance the core through hit-run accesses ``[applied, cut)``."""
+        """Advance the core through hit-run accesses ``[applied, cut)``.
+
+        A slice of at most :data:`MAX_STEP_SLICE` accesses is retired one
+        access at a time through the engine's step; a longer one with NumPy
+        reductions over the slice, the vectorized twin of the step's hit
+        accounting.  Either way every access must be a private hit: a
+        step-retired slice that was not raises ``RuntimeError``, since its
+        protocol action would have run outside scalar order.
+        """
         begin = core.applied
         if cut <= begin:
             return
@@ -750,9 +756,33 @@ class BatchedKernel:
         low = core.run_off + begin
         high = core.run_off + cut
 
-        if count <= 8:
-            self._apply_small(core, stats, low, high, count)
-            core.clock = float(core.end_clocks[cut - 1])
+        if count <= MAX_STEP_SLICE:
+            start = core.win_start
+            if self._track_values:
+                if core.values is None:
+                    core.values = decode_values(
+                        self.columns[core_id][start : start + core.win_len]
+                    )
+                values = core.values[low:high]
+            else:
+                values = [None] * count  # an untracked hit never reads its value
+            step = self._step
+            clock = core.clock
+            hits = stats.l1_hits
+            for code, address, gap, value in zip(
+                core.win_codes[low:high].tolist(),
+                core.win_addrs[low:high].tolist(),
+                self.gaps_col[core_id][start + low : start + high].tolist(),
+                values,
+            ):
+                clock = step(core_id, code, address, value, gap, clock, stats)
+            if stats.l1_hits - hits != count:
+                raise RuntimeError(
+                    f"batched kernel: core {core_id} retired {count} accesses "
+                    f"classified hot from trace index {core.next_index}, but only "
+                    f"{stats.l1_hits - hits} were private hits"
+                )
+            core.clock = clock
             core.applied = cut
             core.next_index += count
             self._hits_batched += count
@@ -785,19 +815,12 @@ class BatchedKernel:
         seg_lines = core.win_lines[low:high]
         line_sets = l1._sets
         num_sets = l1._num_sets
-        if count <= 64:
-            # Short slice: replay the refreshes directly.
-            for line_addr in seg_lines.tolist():
-                cache_set = line_sets[line_addr % num_sets]
-                del cache_set[line_addr]
-                cache_set[line_addr] = True
-        else:
-            distinct, reverse_first = np.unique(seg_lines[::-1], return_index=True)
-            last_offsets = (count - 1) - reverse_first
-            for line_addr in distinct[np.argsort(last_offsets)].tolist():
-                cache_set = line_sets[line_addr % num_sets]
-                del cache_set[line_addr]
-                cache_set[line_addr] = True
+        distinct, reverse_first = np.unique(seg_lines[::-1], return_index=True)
+        last_offsets = (count - 1) - reverse_first
+        for line_addr in distinct[np.argsort(last_offsets)].tolist():
+            cache_set = line_sets[line_addr % num_sets]
+            del cache_set[line_addr]
+            cache_set[line_addr] = True
 
         # Write permission upgrades: stores/atomics/folded updates against an
         # E copy leave the line in M (U-state buffering does not).
@@ -851,92 +874,14 @@ class BatchedKernel:
         core.next_index += count
         self._hits_batched += count
 
-    def _apply_small(
-        self, core: _BatchCore, stats: CoreStats, low: int, high: int, count: int
-    ) -> None:
-        """Fused scalar advance for short slices.
-
-        Tight interleaves shatter hit-runs into slices of a few hits; the
-        vectorized reductions in :meth:`_apply` cost more than the
-        interpreter work they replace there.  Everything folds with scalar
-        arithmetic, which is bit-identical because every addend is dyadic —
-        grouping cannot change a bit.
-        """
-        core_id = core.core_id
-        kinds_l = core.win_kinds[low:high].tolist()
-        lines_l = core.win_lines[low:high].tolist()
-        states_l = core.win_states[low:high].tolist()
-        l1 = self._l1_caches[core_id]
-        l1.hits += count
-        line_sets = l1._sets
-        num_sets = l1._num_sets
-        state_map = self._core_states[core_id]
-        modified = StableState.MODIFIED
-        memory_image = self._memory_image
-        track = self._track_values
-        comm_n = 0
-        if track and core.values is None:
-            core.values = decode_values(
-                self.columns[core_id][core.win_start : core.win_start + core.win_len]
-            )
-        values = core.values
-        for offset in range(count):
-            kind = kinds_l[offset]
-            line_addr = lines_l[offset]
-            cache_set = line_sets[line_addr % num_sets]
-            del cache_set[line_addr]
-            cache_set[line_addr] = True
-            if kind == 0:
-                stats.loads += 1
-                continue
-            state = states_l[offset]
-            if kind == 1:
-                stats.stores += 1
-            elif kind == 2:
-                stats.atomics += 1
-            elif kind == 3:
-                stats.commutative_updates += 1
-                comm_n += 1
-            else:
-                stats.remote_updates += 1
-                comm_n += 1
-            if state != STATE_UPDATE:
-                state_map[line_addr] = modified
-            if track:
-                j = low + offset
-                value = values[j]
-                if value is None:
-                    continue
-                address = int(core.win_addrs[j])
-                if kind == 1:
-                    memory_image[address] = value
-                elif state == STATE_UPDATE:
-                    op = CODE_OP[core.win_codes[j]]
-                    self.protocol._buffer_for(core_id, line_addr, op).update(
-                        address, value
-                    )
-                else:
-                    op = CODE_OP[core.win_codes[j]]
-                    if op is not None:
-                        current = memory_image.get(address, op.identity)
-                        memory_image[address] = op.apply(current, value)
-        if self._comm_local and comm_n:
-            self.protocol.stat_local_updates += comm_n
-        stats.compute_cycles += sum(core.win_t[low:high].tolist())
-        stats.memory_cycles += self._l1_hit_total * count
-        stats.latency.l1 += self._l1_latency * count
-        stats.accesses += count
-        stats.l1_hits += count
-
     # ------------------------------------------------------- boundary accesses
 
     def _execute_one(self, core: _BatchCore) -> None:
         """Interpret the single access that ended a hit-run.
 
-        Resolves it through the engine's step (:meth:`CoherenceProtocol.make_step`)
-        with the scalar loop's per-access accounting around it, then
-        resyncs what the access may have changed: the executing core's L1
-        set of the accessed line and of its own touched lines (a fill, an
+        Retires it through the engine's step (:meth:`CoherenceProtocol.make_step`),
+        then resyncs what the access may have changed: the executing core's
+        L1 set of the accessed line and of its own touched lines (a fill, an
         L2-hit promotion and its silent victim, E->M, a U line learning
         its op), way-in-place repairs of other cores' touched lines, and
         the executing core's unconsumed mask entries.
@@ -951,49 +896,19 @@ class BatchedKernel:
         )
         core.next_index = index + 1
         core.class_valid = False
-        stats = self.core_stats[core_id]
         protocol = self.protocol
-
-        kind = _KIND_OF_CODE[code]
-        if kind == 0:
-            overhead = 0.0
-            stats.loads += 1
-        elif kind == 1:
-            overhead = 0.0
-            stats.stores += 1
-        elif kind == 2:
-            overhead = self._atomic_overhead
-            stats.atomics += 1
-        elif kind == 3:
-            overhead = self._commutative_overhead
-            stats.commutative_updates += 1
-        else:
-            overhead = self._commutative_overhead
-            stats.remote_updates += 1
-
-        think = gap * self._cpi
-        issue_time = core.clock + think
 
         touched = self._touched
         touched.clear()
         obs_timing = self._obs_timing
         if obs_timing is not None:
             _obs_t0 = obs_timing.clock()
-        latency = self._step(
-            core_id, code, address, value, gap, issue_time, stats.latency
+        core.clock = self._step(
+            core_id, code, address, value, gap, core.clock, self.core_stats[core_id]
         )
         if obs_timing is not None:
             obs_timing.observe("resolve_slow", obs_timing.clock() - _obs_t0)
             _obs_t0 = obs_timing.clock()
-        if latency.__class__ is int:  # private hit
-            latency_record = stats.latency
-            latency_record.l1 += self._l1_latency
-            if latency == 1:
-                latency = self._l1_hit_total
-            else:
-                latency_record.l2 += self._l2_latency
-                latency = self._l2_hit_total
-            stats.l1_hits += 1
 
         # Repair the mirrors the access may have moved lines in.  The
         # executing core's L1 only changes in the accessed line's set and in
@@ -1030,11 +945,6 @@ class BatchedKernel:
             self._suspect_mask(core)
         if obs_timing is not None:
             obs_timing.observe("mask_repair", obs_timing.clock() - _obs_t0)
-
-        stats.accesses += 1
-        stats.compute_cycles += think + overhead
-        stats.memory_cycles += latency
-        core.clock = issue_time + overhead + latency
 
     # --------------------------------------------------------------- scheduler
 

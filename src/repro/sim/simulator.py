@@ -25,17 +25,8 @@ from repro.core.meusi import MeusiProtocol
 from repro.core.protocol import CoherenceProtocol
 from repro.core.rmo import RmoProtocol
 from repro.sim.access import WorkloadTrace
-from repro.sim.columnar import (
-    COMM_MIN_CODE,
-    COMMUTATIVE_MIN_CODE,
-    REMOTE_MIN_CODE,
-    UPDATE_MIN_CODE,
-    ColumnarTrace,
-    as_columnar,
-    decode_values,
-)
+from repro.sim.columnar import ColumnarTrace, as_columnar, decode_values
 from repro.sim.config import SystemConfig
-from repro.sim.core_model import CoreTimingModel
 from repro.sim.stats import CoreStats, SimulationResult
 
 
@@ -94,7 +85,7 @@ class _CoreCursor:
 class MulticoreSimulator:
     """Runs one workload trace under one protocol on one machine config."""
 
-    __slots__ = ("config", "protocol", "core_model", "track_values")
+    __slots__ = ("config", "protocol", "track_values")
 
     def __init__(
         self,
@@ -105,7 +96,6 @@ class MulticoreSimulator:
     ) -> None:
         self.config = config
         self.protocol = protocol
-        self.core_model = CoreTimingModel(config.core)
         self.track_values = track_values
 
     def run(self, workload: Union[WorkloadTrace, ColumnarTrace]) -> SimulationResult:
@@ -153,7 +143,7 @@ class MulticoreSimulator:
         if (
             mode == "scalar"
             or not self.protocol.SUPPORTS_BATCH_KERNEL
-            or not exact_timing(self.core_model, self.config)
+            or not exact_timing(self.config)
         ):
             return self._run_columnar_scalar(workload)
 
@@ -219,13 +209,15 @@ class MulticoreSimulator:
     ):
         """The scalar simulation loop: one access per iteration over raw columns.
 
-        The loop owns scheduling, issue overheads, instruction counters and
-        the charging of private-hit latency; each access resolves through
-        the engine's step (:meth:`CoherenceProtocol.make_step`), which holds
-        the private-hit rules and drops into ``resolve_slow`` for protocol
-        action.  The batched kernel's boundary path
-        (``BatchedKernel._execute_one``) uses the same step; the golden
-        equivalence suite pins both paths bit-identical.
+        The loop owns scheduling, phase barriers, the cold-start prefix and
+        the hit streak; each access is retired by the engine's step
+        (:meth:`CoherenceProtocol.make_step`), which charges its issue
+        timing, private-hit or ``resolve_slow`` latency and counters to the
+        core's :class:`CoreStats` and returns its completion time.  The
+        streak reads ``stats.l1_hits``, which the step bumps once per
+        private hit.  The batched kernel retires its boundary accesses and
+        short hit-run slices through the same step; the golden equivalence
+        suite pins both paths bit-identical.
 
         ``resume`` is a handoff from a bailed-out batched-kernel run:
         ``(per-core (clock, next_index, phase), core_stats, heap entries,
@@ -274,23 +266,8 @@ class MulticoreSimulator:
         trace_lens = [len(column) for column in workload.columns]
         decoded_lens = [len(codes) for codes in codes_pc]
 
-        # -- hot-loop constants, hoisted out of the per-access path -----------
         heappush = heapq.heappush
         heappop = heapq.heappop
-        cpi = self.core_model.cycles_per_instruction
-        atomic_overhead = self.core_model.atomic_overhead
-        commutative_overhead = self.core_model.commutative_overhead
-        l1_latency = self.config.l1d.latency
-        l2_latency = self.config.l2.latency
-        l1_hit_total = l1_latency + 0.0
-        l2_hit_total = l1_latency + l2_latency + 0.0
-        # type_code classification bounds (see repro.sim.columnar): loads,
-        # then stores, then atomic/commutative/remote updates in ascending
-        # code ranges.  Hoisted to locals for the hot loop.
-        store_min = UPDATE_MIN_CODE
-        atomic_min = COMM_MIN_CODE
-        commutative_min = COMMUTATIVE_MIN_CODE
-        remote_min = REMOTE_MIN_CODE
         # Built per run, after any instrumentation wrapped resolve_slow.
         step = self.protocol.make_step()
 
@@ -335,60 +312,21 @@ class MulticoreSimulator:
                     barrier_waiters.append(core_id)
                     continue
 
-            code = codes_pc[core_id][index]
-            address = addrs_pc[core_id][index]
-            gap = gaps_pc[core_id][index]
             cursor.next_index = index + 1
             stats = core_stats[core_id]
-
-            # One fused dispatch on the packed type code (integer range
-            # compares): issue overhead and the per-type instruction counters.
-            if code < store_min:  # LOAD
-                overhead = 0.0
-                stats.loads += 1
-            elif code < atomic_min:  # STORE
-                overhead = 0.0
-                stats.stores += 1
-            elif code < commutative_min:  # ATOMIC_RMW
-                overhead = atomic_overhead
-                stats.atomics += 1
-            elif code < remote_min:  # COMMUTATIVE_UPDATE
-                overhead = commutative_overhead
-                stats.commutative_updates += 1
-            else:  # REMOTE_UPDATE
-                overhead = commutative_overhead
-                stats.remote_updates += 1
-
-            think = gap * cpi
-            issue_time = clock + think
-
-            latency = step(
+            hits = stats.l1_hits
+            completion = step(
                 core_id,
-                code,
-                address,
+                codes_pc[core_id][index],
+                addrs_pc[core_id][index],
                 values_pc[core_id][index],
-                gap,
-                issue_time,
-                stats.latency,
+                gaps_pc[core_id][index],
+                clock,
+                stats,
             )
-            hit = latency.__class__ is int
-            if hit:
-                latency_record = stats.latency
-                latency_record.l1 += l1_latency
-                if latency == 1:
-                    latency = l1_hit_total
-                else:
-                    latency_record.l2 += l2_latency
-                    latency = l2_hit_total
-                stats.l1_hits += 1
+            heappush(heap, (completion, core_id))
 
-            stats.accesses += 1
-            stats.compute_cycles += think + overhead
-            stats.memory_cycles += latency
-
-            heappush(heap, (issue_time + overhead + latency, core_id))
-
-            if hit:
+            if stats.l1_hits != hits:
                 hit_streak += 1
                 if hit_streak == REENTER_STREAK and reenter:
                     # Every core is hitting: hand the hot stretch back to the

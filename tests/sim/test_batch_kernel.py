@@ -26,10 +26,11 @@ from repro.hierarchy.cache import (
     UOP_NONE,
 )
 from repro.sim.access import MemoryAccess, WorkloadTrace
-from repro.sim.columnar import ColumnarTrace
+from repro.sim.columnar import CODE_KIND, ColumnarTrace
 from repro.sim.config import small_test_config
-from repro.sim.kernel import BatchedKernel, kernel_mode
+from repro.sim.kernel import MAX_STEP_SLICE, BatchedKernel, kernel_mode
 from repro.sim.simulator import MulticoreSimulator, make_protocol, simulate
+from repro.sim.stats import CoreStats
 from repro.workloads.base import UpdateStyle
 from repro.workloads.histogram import HistogramWorkload
 from repro.workloads.synthetic import (
@@ -345,20 +346,36 @@ def _lru_refresh_trace(n_hits: int, l1_sets: int) -> WorkloadTrace:
     )
 
 
-@pytest.mark.parametrize("n_hits", [200, 40, 6])
+@pytest.mark.parametrize(
+    "n_hits",
+    [
+        pytest.param(200, id="vectorized-200"),
+        pytest.param(MAX_STEP_SLICE + 1, id="vectorized-threshold+1"),
+        pytest.param(MAX_STEP_SLICE, id="step-threshold"),
+        pytest.param(6, id="step-6"),
+    ],
+)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_batched_hit_run_refreshes_lru_in_last_use_order(protocol, n_hits, monkeypatch):
     """The kernel's bulk LRU refresh leaves the set in per-access order.
 
     Golden fingerprints and bench pins do not reach this: their hit-runs
-    never decide an eviction inside a fully re-ordered set.  200 hits take
-    the long-slice branch of ``BatchedKernel._apply`` (the window is widened
-    so the whole run is one slice), 40 the short-slice replay, and 6
-    ``_apply_small``.
+    never decide an eviction inside a fully re-ordered set.  The window is
+    widened so the whole hit-run is one slice of ``BatchedKernel._apply``
+    (asserted): up to ``MAX_STEP_SLICE`` hits it retires through the
+    engine's step, one past it through the vectorized reductions.
     """
     import repro.sim.kernel as kernel_module
 
     monkeypatch.setattr(kernel_module, "MIN_WINDOW", 4096)
+    slices = []
+    apply = BatchedKernel._apply
+
+    def recording_apply(kernel, core, cut):
+        slices.append(cut - core.applied)
+        apply(kernel, core, cut)
+
+    monkeypatch.setattr(BatchedKernel, "_apply", recording_apply)
     base = small_test_config(1)
     config = dataclasses.replace(
         base, l1d=dataclasses.replace(base.l1d, ways=4)
@@ -374,7 +391,57 @@ def test_batched_hit_run_refreshes_lru_in_last_use_order(protocol, n_hits, monke
         l1 = engine.hierarchy.l1[0]
         resident = sorted(line for line in range(5 * config.l1d.num_sets) if line in l1)
         outcomes[mode] = (result.to_jsonable(), resident)
+    assert n_hits in slices
     assert outcomes["batch"] == outcomes["scalar"]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_step_slice_rejects_an_access_that_is_not_a_hit(protocol, monkeypatch):
+    """A hot mask that calls a miss hot fails loudly in the step loop.
+
+    The step would resolve the miss through ``resolve_slow`` outside scalar
+    order; the slice's hit count catches it and names the core and index.
+    """
+    monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
+    config = small_test_config(1)
+    engine = make_protocol(protocol, config, track_values=True)
+    monkeypatch.setattr(
+        engine, "hot_mask", lambda kinds, *rest: np.ones(len(kinds), dtype=bool)
+    )
+    trace = WorkloadTrace(
+        name="cold", per_core=[[MemoryAccess.load(line * 64) for line in range(10)]]
+    )
+    with pytest.raises(RuntimeError, match=r"core 0 .* trace index 0\b"):
+        MulticoreSimulator(config, engine, track_values=True).run(trace)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_step_issue_timing_matches_the_kernel_for_every_code(protocol):
+    """The step and the kernel's long-slice path charge the same issue timing.
+
+    One access of every type code is stepped on a fresh engine: its
+    per-type counter must be the one ``CODE_KIND`` names, and its compute
+    cycles ``gap * cpi`` plus the kernel's ``_overhead_by_kind`` entry.
+    """
+    config = small_test_config(1)
+    trace = ColumnarTrace.from_workload(
+        WorkloadTrace(name="one", per_core=[[MemoryAccess.load(0)]])
+    )
+    kernel = BatchedKernel(
+        MulticoreSimulator(config, make_protocol(protocol, config)), trace
+    )
+    counters = ("loads", "stores", "atomics", "commutative_updates", "remote_updates")
+    gap = 3.0
+    for code, kind in enumerate(CODE_KIND.tolist()):
+        step = make_protocol(protocol, config, track_values=False).make_step()
+        stats = CoreStats(core_id=0)
+        step(0, code, 0x40, None, gap, 0.0, stats)
+        assert [getattr(stats, name) for name in counters] == [
+            int(index == kind) for index in range(len(counters))
+        ], f"type code {code}"
+        assert stats.compute_cycles == (
+            gap * config.core.cycles_per_instruction + kernel._overhead_by_kind[kind]
+        ), f"type code {code}"
 
 
 class TestTagArray:
