@@ -10,10 +10,10 @@ Two measurements, both pinned bit-identical and recorded in
   kernel over the forced-scalar loop.
 * **Paper workload grid** — the five Table 2 benchmarks under MESI (atomic)
   and COUP (commutative).  These are slow-path-dominated: ``auto`` opens
-  each run with a scalar cold-start stint, hands hot stretches to the
-  kernel, and bails back to the scalar loop as soon as a probation
-  interval shows too few batched hits per slow event, so on this grid it
-  should track the scalar loop.  The gates are (a) a grid-wide geomean
+  each run with a scalar cold-start stint, hands the run to the kernel at
+  most once, and the kernel hands the rest of the run to the scalar loop
+  as soon as a probation interval shows too few batched hits per slow
+  event, so on this grid it should track the scalar loop.  The gates are (a) a grid-wide geomean
   speedup of ``auto`` over forced-scalar of at least ``MIN_GRID_GEOMEAN``,
   and (b) a per-point regression floor ``MIN_POINT_SPEEDUP``.  Both are
   asserted only when the grid's forced-scalar total reaches

@@ -98,10 +98,6 @@ class OperationSpec:
     fn: Callable
     signed: bool = True
 
-    @property
-    def word_bits(self) -> int:
-        return self.word_bytes * 8
-
     def __post_init__(self) -> None:
         # Precompute the wrapping constants once; ``apply`` runs per
         # functionally-tracked update, so recomputing the mask there is

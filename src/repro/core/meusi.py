@@ -458,14 +458,3 @@ class MeusiProtocol(MesiProtocol):
         # repro-lint: disable=D102(buffers commit independently per line; insertion order is the deterministic trace order, pinned by golden fingerprints)
         for (core_id, line_addr) in list(self.delta_buffers.keys()):
             self._commit_buffer(core_id, line_addr)
-
-    # -------------------------------------------------------------- statistics
-
-    def reduction_statistics(self) -> dict:
-        """Reduction-related counters used by experiments and tests."""
-        return {
-            "local_updates": self.stat_local_updates,
-            "update_grants": self.stat_update_grants,
-            "full_reductions": self.stat_full_reductions,
-            "partial_reductions": self.stat_partial_reductions,
-        }

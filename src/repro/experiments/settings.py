@@ -121,19 +121,6 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
 )
 
 
-def registered_env_knobs() -> Tuple[EnvKnob, ...]:
-    """The registry, for consumers that want a stable accessor."""
-    return ENV_KNOBS
-
-
-def env_knob(name: str) -> EnvKnob:
-    """Look up one registered knob by name; raises ``KeyError`` if absent."""
-    for knob in ENV_KNOBS:
-        if knob.name == name:
-            return knob
-    raise KeyError(f"unregistered environment knob: {name}")
-
-
 _DEFAULT_SCALE = 1.0
 _DEFAULT_MAX_CORES = 64
 

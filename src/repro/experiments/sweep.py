@@ -742,10 +742,6 @@ def set_result_cache(cache: Optional[ResultCache]) -> None:
     _active_result_cache = cache
 
 
-def active_result_cache() -> Optional[ResultCache]:
-    return _active_result_cache
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------

@@ -9,34 +9,11 @@ side and checked by tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import List
 
 from repro.experiments.sweep import FuncPoint, SweepSpec, execute
 from repro.experiments.tables import print_table
-from repro.sim.config import SystemConfig, TopologyConfig, table1_config
-
-#: Named off-chip topology presets for the Table 1 machine.  ``dancehall``
-#: is the paper's Fig. 9 arrangement (and the default); the others are the
-#: contention-enabled alternatives the topology sensitivity study sweeps.
-TOPOLOGY_PRESETS: Dict[str, TopologyConfig] = {
-    "dancehall": TopologyConfig(),
-    "dancehall-contended": TopologyConfig(name="dancehall", contention=True),
-    "crossbar": TopologyConfig(name="crossbar", contention=True),
-    "mesh": TopologyConfig(name="mesh", contention=True),
-    "torus": TopologyConfig(name="torus", contention=True),
-}
-
-
-def preset_config(n_cores: int, preset: str) -> SystemConfig:
-    """The Table 1 machine with one of :data:`TOPOLOGY_PRESETS` applied."""
-    try:
-        topology = TOPOLOGY_PRESETS[preset]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown topology preset {preset!r}; expected one of "
-            f"{sorted(TOPOLOGY_PRESETS)}"
-        ) from exc
-    return table1_config(n_cores, topology=topology)
+from repro.sim.config import SystemConfig, table1_config
 
 
 def rows_for(config: SystemConfig) -> List[dict]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 
 @dataclass(slots=True)
@@ -15,10 +15,6 @@ class ImportMap:
     modules: Dict[str, str] = field(default_factory=dict)
     #: Local names bound via ``from m import x [as y]``: ``{"y": ("m", "x")}``.
     objects: Dict[str, tuple] = field(default_factory=dict)
-
-    def aliases_of(self, module: str) -> Set[str]:
-        """Local names referring to ``module`` itself."""
-        return {local for local, target in self.modules.items() if target == module}
 
     def object_origin(self, local: str) -> Optional[tuple]:
         """``(module, original_name)`` if ``local`` was from-imported."""

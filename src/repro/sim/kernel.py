@@ -73,13 +73,13 @@ batch); any other value raises ``ValueError``.  In ``auto`` every run opens
 with a short scalar *cold-start* stint over a bounded decoded prefix of each
 core's trace, so the cold misses every run begins with never reach the
 kernel's probation; the kernel takes over on the first long global hit
-streak or when a core exhausts its prefix.  From then on the kernel and the
-scalar loop alternate on identical state: per probation interval the kernel
-weighs the hits it batched against the slow events it paid for, and bails
-out when a stretch of the workload is too slow-path-heavy to batch; the
-scalar loop hands hot stretches (long global hit streaks) back — see
-``MulticoreSimulator._run_columnar``.  Every decision reads only simulation
-counters, never a host clock, so a trace takes the same path on every host.
+streak or when a core exhausts its prefix.  A run enters the kernel at most
+once: per probation interval the kernel weighs the hits it batched against
+the slow events it paid for, and when a stretch of the workload is too
+slow-path-heavy to batch it bails out, handing the rest of the run to the
+scalar loop on identical state — see ``MulticoreSimulator._run_columnar``.
+Every decision reads only simulation counters, never a host clock, so a
+trace takes the same path on every host.
 """
 
 from __future__ import annotations
@@ -387,9 +387,9 @@ class BatchedKernel:
             _BatchCore(i, len(workload.columns[i]), config.l1d) for i in range(n_cores)
         ]
         if resume is not None:
-            # Mid-run re-entry from the scalar loop (see _run_columnar): the
-            # handoff state is exactly what _handoff produces, so the two
-            # loops can alternate without losing a single access.
+            # Handoff from the cold-start stint (see _run_columnar): the
+            # state is exactly what _handoff produces, so the kernel takes
+            # over without losing a single access.
             cursor_state, resumed_stats, heap_entries, barrier_ids = resume
             self.core_stats = resumed_stats
             waiting = set(barrier_ids)

@@ -30,20 +30,16 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, SimulationResult
 
 
-#: Consecutive private hits (across all cores) after which the scalar loop
-#: hands control back to the batched kernel: a long global streak means
-#: every core is in the kernel's hit-run regime.
-REENTER_STREAK = 512
-
-#: Upper bound on batched-kernel stints per run, so a workload oscillating
-#: near the batch/scalar break-even settles in the scalar loop.
-MAX_KERNEL_STINTS = 3
+#: Consecutive private hits (across all cores) after which the ``auto``
+#: cold-start stint hands the run to the batched kernel: a long global
+#: streak means every core has left its cold misses behind.
+COLD_START_STREAK = 512
 
 #: Accesses per core the ``auto`` cold-start stint decodes.  Every run opens
 #: with cold misses (one per core and line), which would fill the kernel's
 #: first probation interval with slow events and bail a hit-run workload at
 #: once.  The scalar loop retires them instead and hands the run to the
-#: kernel at the first :data:`REENTER_STREAK` hit streak, or when a core
+#: kernel at the first :data:`COLD_START_STREAK` hit streak, or when a core
 #: exhausts this prefix.  The bound keeps the stint cheap: decoding a whole
 #: 1.92M-access trace costs 0.22-0.38 s.
 COLD_START_ACCESSES = 4096
@@ -119,12 +115,15 @@ class MulticoreSimulator:
         :meth:`CoherenceProtocol.resolve_slow` for protocol action.  The
         kernel is used when the engine opts in (``SUPPORTS_BATCH_KERNEL``),
         the machine's timing constants are dyadic (``exact_timing``) and
-        ``REPRO_SIM_KERNEL`` allows it.  In ``auto`` mode a run opens
-        with a scalar cold-start stint over the first
-        :data:`COLD_START_ACCESSES` accesses of each core; the kernel bails
-        out to the scalar loop mid-run when it batches too few hits per slow
-        event (see the kernel's ``BAIL_*`` constants), and the scalar loop
-        hands back after :data:`REENTER_STREAK` consecutive private hits.
+        ``REPRO_SIM_KERNEL`` allows it.  An ``auto`` run is a straight line
+        of at most three stints on the same exact state: a scalar cold-start
+        stint over the first :data:`COLD_START_ACCESSES` accesses of each
+        core, handing off at the first :data:`COLD_START_STREAK` hit streak
+        or when a core exhausts its prefix; then one kernel stint; and, if
+        the kernel bails (it batches too few hits per slow event, see its
+        ``BAIL_*`` constants) or reaches its exactness guard, the scalar
+        loop to the end of the run.  ``batch`` skips the cold start and
+        never bails, but also finishes in the scalar loop past the guard.
         Every rule counts simulated work only, so the path a trace takes
         never depends on the host (tests/sim/test_dispatch.py).  All paths
         are bit-identical (golden suite plus the batch-boundary and
@@ -147,66 +146,37 @@ class MulticoreSimulator:
         ):
             return self._run_columnar_scalar(workload)
 
-        # The two loops alternate on the same exact state: the kernel bails
-        # to the scalar loop when a stretch of the workload is too
-        # slow-path-heavy to batch, and the scalar loop hands back when it
-        # observes a long run of consecutive private hits (the kernel's
-        # regime).  Stints are capped so a workload oscillating near
-        # break-even settles in the scalar loop.
         obs_reg = _obs.get_registry()
         force = mode == "batch"
         state = None
         if not force:
             if obs_reg is not None:
                 obs_reg.inc("sim.stint.cold_start")
-            outcome = self._run_columnar_scalar(
-                workload, reenter=True, prefix=COLD_START_ACCESSES
-            )
+            outcome = self._run_columnar_scalar(workload, prefix=COLD_START_ACCESSES)
             if isinstance(outcome, SimulationResult):
                 return outcome
             state = outcome
-        scratch: dict = {}
-        stints = 1
-        while True:
-            if obs_reg is not None:
-                obs_reg.inc(
-                    "kernel.stint.enter" if stints == 1 else "kernel.stint.resume"
-                )
-            kernel = BatchedKernel(self, workload, force=force, resume=state)
-            state = kernel.run()
-            if state is None:
-                self.protocol.touched_cores = None
-                cursors = [
-                    _CoreCursor(
-                        core_id=core.core_id,
-                        clock=core.clock,
-                        next_index=core.next_index,
-                        phase=core.phase,
-                    )
-                    for core in kernel.cores
-                ]
-                return self._finish(workload, cursors, kernel.core_stats)
+        if obs_reg is not None:
+            obs_reg.inc("kernel.stint.enter")
+        kernel = BatchedKernel(self, workload, force=force, resume=state)
+        state = kernel.run()
+        if state is not None:
             if obs_reg is not None:
                 obs_reg.inc("sim.stint.scalar")
-            outcome = self._run_columnar_scalar(
-                workload,
-                resume=state,
-                scratch=scratch,
-                reenter=stints < MAX_KERNEL_STINTS,
+            return self._run_columnar_scalar(workload, resume=state)
+        self.protocol.touched_cores = None
+        cursors = [
+            _CoreCursor(
+                core_id=core.core_id,
+                clock=core.clock,
+                next_index=core.next_index,
+                phase=core.phase,
             )
-            if isinstance(outcome, SimulationResult):
-                return outcome
-            state = outcome
-            stints += 1
+            for core in kernel.cores
+        ]
+        return self._finish(workload, cursors, kernel.core_stats)
 
-    def _run_columnar_scalar(
-        self,
-        workload: ColumnarTrace,
-        resume=None,
-        scratch=None,
-        reenter=False,
-        prefix=None,
-    ):
+    def _run_columnar_scalar(self, workload: ColumnarTrace, resume=None, prefix=None):
         """The scalar simulation loop: one access per iteration over raw columns.
 
         The loop owns scheduling, phase barriers, the cold-start prefix and
@@ -222,16 +192,15 @@ class MulticoreSimulator:
         ``resume`` is a handoff from a bailed-out batched-kernel run:
         ``(per-core (clock, next_index, phase), core_stats, heap entries,
         barrier-waiter ids)``.  The kernel maintains exactly this loop's
-        state, so resuming mid-run continues the identical simulation.  With
-        ``reenter``, a run of :data:`REENTER_STREAK` consecutive private
-        hits returns the same handoff shape instead of a result, so
-        :meth:`_run_columnar` can hand the hot stretch back to the kernel;
-        ``scratch`` caches the decoded columns across such alternations.
+        state, so resuming mid-run continues the identical simulation to
+        its end.
 
-        ``prefix`` makes this the cold-start stint: only the first
-        ``prefix`` accesses of each core are decoded, and a core reaching
-        the end of its decoded prefix (before the end of its trace) is put
-        back on the heap untouched and the handoff is returned.
+        ``prefix`` makes this the cold-start stint, which returns the same
+        handoff shape for the kernel instead of a result: only the first
+        ``prefix`` accesses of each core are decoded, and the stint hands
+        off after :data:`COLD_START_STREAK` consecutive private hits, or
+        when a core reaches the end of its decoded prefix (before the end
+        of its trace), which is put back on the heap untouched.
         """
         n_cores = workload.n_cores
         if resume is None:
@@ -252,17 +221,10 @@ class MulticoreSimulator:
         # (``gap * cpi`` is bit-identical to ``int_think * cpi`` because every
         # gap is an exact small integer), and operand values are decoded by
         # kind in one vectorized pass per core.
+        columns = workload.columns
         if prefix is not None:
-            columns = self._decode_columns(
-                [column[:prefix] for column in workload.columns]
-            )
-        else:
-            columns = scratch.get("columns") if scratch is not None else None
-            if columns is None:
-                columns = self._decode_columns(workload.columns)
-                if scratch is not None:
-                    scratch["columns"] = columns
-        codes_pc, addrs_pc, gaps_pc, values_pc = columns
+            columns = [column[:prefix] for column in columns]
+        codes_pc, addrs_pc, gaps_pc, values_pc = self._decode_columns(columns)
         trace_lens = [len(column) for column in workload.columns]
         decoded_lens = [len(codes) for codes in codes_pc]
 
@@ -328,9 +290,9 @@ class MulticoreSimulator:
 
             if stats.l1_hits != hits:
                 hit_streak += 1
-                if hit_streak == REENTER_STREAK and reenter:
-                    # Every core is hitting: hand the hot stretch back to the
-                    # batched kernel.
+                if hit_streak == COLD_START_STREAK and prefix is not None:
+                    # Every core is past its cold misses: hand the run to
+                    # the batched kernel.
                     return self._handoff(cursors, core_stats, heap, barrier_waiters)
             else:
                 hit_streak = 0

@@ -106,14 +106,6 @@ class PrivatizedReductionBuilder:
             self._replica_bases[replica] = base
         return base
 
-    def _replica_address(self, replica: int, element: int) -> int:
-        return self._replica_base(replica) + element * self.plan.element_bytes
-
-    def _shared_address(self, element: int) -> int:
-        if self._shared_base is None:
-            self._shared_base = self.addresses.region(f"{self.array_name}_shared")
-        return self._shared_base + element * self.plan.element_bytes
-
     # -- update phase -----------------------------------------------------------
 
     def update_phase(

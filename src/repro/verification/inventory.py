@@ -56,9 +56,6 @@ class ProtocolInventory:
                 return controller
         raise KeyError(name)
 
-    def total_states(self) -> int:
-        return sum(controller.n_total for controller in self.controllers)
-
 
 # Two-level MESI (Fig. 7a): 4 stable + 8 transient L1 states, 6 L2 states.
 TWO_LEVEL_MESI = ProtocolInventory(

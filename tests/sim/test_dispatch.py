@@ -1,8 +1,8 @@
 """Kernel dispatch is a function of the trace alone, never of the host clock.
 
-In ``REPRO_SIM_KERNEL=auto`` a run opens with a scalar cold-start stint, the
-batched kernel bails to the scalar loop and the scalar loop hands hot
-stretches back.  Every decision must read only the
+In ``REPRO_SIM_KERNEL=auto`` a run opens with a scalar cold-start stint,
+hands off to at most one batched-kernel stint, and a kernel that bails hands
+the rest of the run to the scalar loop.  Every decision must read only the
 simulation's own work counters, so the same trace takes the same path on a
 fast host, a slow host, or a host whose clock misbehaves.  Each workload runs
 twice under ``REPRO_OBS=counters``: once with ``time.perf_counter`` frozen,
@@ -120,13 +120,16 @@ def test_dispatch_ignores_the_host_clock(key, traces, counters_mode, monkeypatch
     assert frozen == jumping
     assert frozen_result == jumping_result
 
-    # Every auto run opens with exactly one cold-start stint.
+    # Every auto run opens with exactly one cold-start stint, and is a
+    # straight line: at most one kernel stint, at most one scalar stint
+    # after it.
     assert frozen["sim.stint.cold_start"] == 1
+    assert frozen.get("kernel.stint.enter", 0) <= 1
+    assert frozen.get("sim.stint.scalar", 0) <= 1
     if key in HIT_RUN_POINTS:
         # The kernel's own regime: the cold start retires the opening cold
         # misses, then one kernel stint runs to the end.
         assert frozen["kernel.stint.enter"] == 1
-        assert frozen.get("kernel.stint.resume", 0) == 0
         assert frozen.get("sim.stint.scalar", 0) == 0
         assert frozen.get("kernel.stint.bail", 0) == 0
         assert frozen["kernel.stint.complete"] == 1
