@@ -1,8 +1,11 @@
 """Experiment harness: one module per table and figure of the paper.
 
-Every module exposes ``run(...)`` returning structured rows and ``main()``
-printing the corresponding table; the registry below maps experiment ids to
-those entry points so benchmarks, tests, and the command line can discover
+Every module exposes ``sweep_spec()``, its grid of sweep points, and
+``render(rows)``, which prints the table those points fold into; the runner
+executes every experiment through these two, serially or with ``--jobs N``.
+Modules also keep ``run(...)`` returning structured rows and ``main()``
+printing the table, for direct use.  The registry below maps experiment ids
+to their modules so benchmarks, tests, and the command line can discover
 them uniformly.
 """
 

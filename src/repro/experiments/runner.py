@@ -23,15 +23,20 @@ materialized workload trace as a packed ``.npz`` file under
 ``<cache-dir>/traces``; ``--resume`` additionally reuses any matching cached
 points, so an interrupted or repeated sweep only simulates what is missing.
 
+A serial run and a ``--jobs N`` run take the same path through each
+experiment: build its sweep spec, run every point under its own seed, and
+fold the point results into the printed tables.  They differ only in where
+the points run (in this process, or in supervised workers).
+
 With ``--jobs N``, each distinct trace is materialized once in the parent,
 published into ``multiprocessing.shared_memory``, and mapped zero-copy by the
-workers (disable with ``--no-shm``); traces never travel through pickles.
+workers; when publishing or attaching fails, the worker regenerates the
+trace.  Traces never travel through pickles.
 
 With ``--results-dir`` (implied by ``--jobs``), every experiment writes a
-structured JSON record (id, status, elapsed seconds, captured output), and
-point-granularity sweeps also write one record per sweep point under
-``<results-dir>/points/`` so ``scripts/collect_results.py`` and CI can fold
-them.
+structured JSON record (id, status, elapsed seconds, captured output) and
+one record per sweep point under ``<results-dir>/points/`` so
+``scripts/collect_results.py`` and CI can fold them.
 
 With ``--jobs N`` the points run under a supervised worker pool
 (:mod:`repro.experiments.supervisor`): every point gets a size-scaled
@@ -60,7 +65,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union, cast
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, cast
 
 if TYPE_CHECKING:
     from multiprocessing.shared_memory import SharedMemory
@@ -79,19 +84,15 @@ from repro.obs import events as obs_events
 #: Default directory for per-experiment JSON records.
 DEFAULT_RESULTS_DIR = os.path.join("results", "experiments")
 
-#: Trace transport for one point: a shared-memory handle (zero-copy), the
-#: pickled columnar trace itself (fallback when shm publishing fails), or
-#: None (the worker regenerates the trace).
-_TraceTransport = Optional[Union["sweep.ShmTraceHandle", "sweep.ColumnarTrace"]]
-#: One point-granularity work item shipped to a worker: (experiment id,
-#: point key, base seed, scale, max cores, cache dir, resume flag, trace
-#: transport).
+#: Trace transport for one point: a shared-memory handle (mapped zero-copy),
+#: or None (the worker regenerates the trace).
+_TraceTransport = Optional["sweep.ShmTraceHandle"]
+#: One sweep point shipped to a worker: (experiment id, point key, base
+#: seed, scale, max cores, cache dir, resume flag, trace transport).
 _PointTask = Tuple[str, str, int, float, int, Optional[str], bool, _TraceTransport]
 #: A completed point: (experiment id, point key, status, elapsed seconds,
 #: replayed-from-cache flag, result payload or traceback text, stderr text).
 _PointDone = Tuple[str, str, str, float, bool, object, str]
-#: One whole-experiment work item: (experiment id, base seed, scale, max cores).
-_WholeTask = Tuple[str, int, float, int]
 
 
 @dataclass
@@ -105,8 +106,8 @@ class ExperimentOutcome:
     scale: float
     max_cores: int
     error: Optional[str] = None
-    #: Point-granularity sweeps record how many points ran and how many were
-    #: replayed from the persistent cache (None for whole-experiment runs).
+    #: How many sweep points ran and how many were replayed from the
+    #: persistent cache (None when the sweep spec could not be built).
     n_points: Optional[int] = None
     cached_points: Optional[int] = None
 
@@ -141,66 +142,73 @@ def _seed_everything(seed: int) -> None:
         pass
 
 
-def run_experiment(experiment_id: str, base_seed: int = 0) -> ExperimentOutcome:
-    """Import and run one experiment's ``main()``; never raises.
+def run_experiment(
+    experiment_id: str,
+    base_seed: int = 0,
+    *,
+    result_cache: Optional[sweep.ResultCache] = None,
+    results_dir: Optional[str] = None,
+) -> ExperimentOutcome:
+    """Run one experiment's sweep points in order in this process; never raises.
 
-    A failure is reported in the returned outcome (and by :func:`main` as a
-    nonzero exit code) instead of being swallowed or aborting sibling
-    experiments.
+    Each point runs under the seed a ``--jobs`` worker would give it, and
+    the results fold into the printed tables exactly as in
+    :func:`run_parallel`.  A failing point fails the experiment after the
+    remaining points have run; the failure is reported in the returned
+    outcome (and by :func:`main` as a nonzero exit code) instead of aborting
+    sibling experiments.  With ``results_dir``, every point and the
+    experiment write their JSON records.
     """
-    seed = _experiment_seed(base_seed, experiment_id)
-    _seed_everything(seed)
-    module_path = EXPERIMENT_MODULES[experiment_id]
     start = time.perf_counter()
     try:
-        module = importlib.import_module(module_path)
-        module.main()
+        spec = _build_spec(experiment_id)
     except Exception:
-        elapsed = time.perf_counter() - start
-        print(f"[{experiment_id}] FAILED after {elapsed:.1f}s", file=sys.stderr)
-        traceback.print_exc()
-        return ExperimentOutcome(
-            experiment_id=experiment_id,
-            status="error",
-            elapsed_s=elapsed,
-            seed=seed,
-            scale=settings.scale(),
-            max_cores=settings.max_cores(),
-            error=traceback.format_exc(),
+        return _report(
+            *_spec_failure(experiment_id, base_seed, traceback.format_exc()),
+            results_dir,
         )
-    elapsed = time.perf_counter() - start
-    print(f"[{experiment_id}] completed in {elapsed:.1f}s\n")
-    return ExperimentOutcome(
-        experiment_id=experiment_id,
-        status="ok",
-        elapsed_s=elapsed,
-        seed=seed,
-        scale=settings.scale(),
-        max_cores=settings.max_cores(),
+    point_results: Dict[str, object] = {}
+    point_errors: Dict[str, str] = {}
+    cached_points = 0
+    for point in spec.points:
+        seed = _point_seed(base_seed, experiment_id, point.key)
+        _seed_everything(seed)
+        point_start = time.perf_counter()
+        value: object = None
+        error: Optional[str] = None
+        cached = False
+        try:
+            value, cached = sweep.run_point(point, result_cache=result_cache)
+        except Exception:
+            error = point_errors[point.key] = traceback.format_exc()
+        else:
+            point_results[point.key] = value
+            cached_points += int(cached)
+        if results_dir:
+            _write_point_record(
+                results_dir,
+                experiment_id,
+                point.key,
+                status="ok" if error is None else "error",
+                elapsed_s=time.perf_counter() - point_start,
+                cached=cached,
+                seed=seed,
+                value=value,
+                error=error,
+            )
+    return _report(
+        *_assemble_experiment(
+            experiment_id,
+            spec,
+            point_results,
+            point_errors,
+            time.perf_counter() - start,
+            cached_points,
+            base_seed,
+        ),
+        results_dir,
     )
 
-
-def _run_captured(args: _WholeTask) -> Tuple[ExperimentOutcome, str, str]:
-    """Run one whole experiment with stdout/stderr captured.
-
-    The parent's scale/max_cores settings travel in ``args`` and are applied
-    here: with the ``spawn`` start method a worker re-imports
-    :mod:`repro.experiments.settings` from scratch, so anything the parent
-    configured via ``set_scale``/``set_max_cores`` would otherwise be lost.
-    """
-    experiment_id, base_seed, scale, max_cores = args
-    settings.set_scale(scale)
-    settings.set_max_cores(max_cores)
-    out = io.StringIO()
-    err = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        outcome = run_experiment(experiment_id, base_seed)
-    return outcome, out.getvalue(), err.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Point-granularity execution
-# ---------------------------------------------------------------------------
 
 #: Worker-side memo of sweep specs: every worker process rebuilds each
 #: experiment's spec at most once (specs are deterministic given settings,
@@ -208,11 +216,11 @@ def _run_captured(args: _WholeTask) -> Tuple[ExperimentOutcome, str, str]:
 _worker_specs: Dict[str, sweep.SweepSpec] = {}
 
 
-def _build_spec(experiment_id: str) -> Optional[sweep.SweepSpec]:
-    """The experiment's sweep spec, or None if it does not expose one."""
+def _build_spec(experiment_id: str) -> sweep.SweepSpec:
+    """The experiment's sweep spec; raises if the module exposes none."""
     module = importlib.import_module(EXPERIMENT_MODULES[experiment_id])
-    spec_fn = getattr(module, "sweep_spec", None)
-    return spec_fn() if spec_fn is not None else None
+    spec: sweep.SweepSpec = module.sweep_spec()
+    return spec
 
 
 #: Worker-side memo of attached shared-memory traces, keyed by segment name:
@@ -289,39 +297,27 @@ def _run_point_task(args: _PointTask, attempt: int = 0) -> _PointDone:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             spec = _worker_specs.get(experiment_id)
             if spec is None:
-                spec = _build_spec(experiment_id)
-                if spec is None:
-                    # The parent only schedules point tasks for experiments
-                    # with a sweep spec; a worker-side rebuild losing it
-                    # means the experiment module changed under our feet.
-                    raise RuntimeError(
-                        f"{experiment_id} no longer exposes a sweep spec"
-                    )
-                _worker_specs[experiment_id] = spec
+                spec = _worker_specs[experiment_id] = _build_spec(experiment_id)
             point = spec.point(point_key)
             if handle is not None:
-                # The parent shipped this point's trace: as a shared-memory
-                # handle (mapped zero-copy, once per worker) or — when shm
-                # publishing failed in the parent — as the pickled trace
-                # itself.  A transport failure degrades to regeneration;
-                # anything unexpected propagates as the point's error.
+                # The parent published this point's trace in shared memory:
+                # map it zero-copy, once per worker.  An attach failure
+                # degrades to regeneration; anything unexpected propagates
+                # as the point's error.
                 try:
-                    if isinstance(handle, sweep.ColumnarTrace):
-                        trace = handle
-                    else:
-                        shm_fault = (
-                            plan.should("shm", experiment_id, point_key, attempt)
-                            if plan
-                            else None
+                    shm_fault = (
+                        plan.should("shm", experiment_id, point_key, attempt)
+                        if plan
+                        else None
+                    )
+                    if shm_fault is not None:
+                        raise faults.FaultInjected(
+                            f"injected shm-attach failure ({shm_fault.describe()})"
                         )
-                        if shm_fault is not None:
-                            raise faults.FaultInjected(
-                                f"injected shm-attach failure ({shm_fault.describe()})"
-                            )
-                        trace = _attached_traces.get(handle.shm_name)
-                        if trace is None:
-                            trace = sweep.attach_trace_shm(handle, in_worker=True)
-                            _attached_traces[handle.shm_name] = trace
+                    trace = _attached_traces.get(handle.shm_name)
+                    if trace is None:
+                        trace = sweep.attach_trace_shm(handle, in_worker=True)
+                        _attached_traces[handle.shm_name] = trace
                     sweep.shared_trace_cache().put(
                         point.workload.key(point.n_cores), trace
                     )
@@ -467,12 +463,32 @@ def _task_timeout(point: sweep.SweepPoint, base: float, scale: float) -> float:
     return base * 4.0
 
 
-def _supervised_task(payload: object, attempt: int) -> Tuple[str, object]:
-    """Supervisor task function: run one point or whole-experiment task."""
-    kind, task = cast(Tuple[str, object], payload)
-    if kind == "point":
-        return kind, _run_point_task(cast(_PointTask, task), attempt)
-    return kind, _run_captured(cast(_WholeTask, task))
+def _spec_failure(
+    experiment_id: str, base_seed: int, error: str
+) -> Tuple[ExperimentOutcome, str, str]:
+    """The outcome and stderr text of an experiment whose spec failed to build."""
+    outcome = ExperimentOutcome(
+        experiment_id=experiment_id,
+        status="error",
+        elapsed_s=0.0,
+        seed=_experiment_seed(base_seed, experiment_id),
+        scale=settings.scale(),
+        max_cores=settings.max_cores(),
+        error=error,
+    )
+    return outcome, "", f"[{experiment_id}] FAILED building sweep spec\n" + error
+
+
+def _report(
+    outcome: ExperimentOutcome, out: str, err: str, results_dir: Optional[str]
+) -> ExperimentOutcome:
+    """Print one experiment's tables and errors, and write its record."""
+    sys.stdout.write(out)
+    if err:
+        sys.stderr.write(err)
+    if results_dir:
+        _write_record(results_dir, outcome, out)
+    return outcome
 
 
 def run_parallel(
@@ -483,7 +499,6 @@ def run_parallel(
     results_dir: Optional[str] = None,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    use_shm: bool = True,
 ) -> List[ExperimentOutcome]:
     """Run experiments at sweep-point granularity in ``jobs`` workers.
 
@@ -491,8 +506,7 @@ def run_parallel(
     are load-balanced across a supervised worker pool
     (:class:`repro.experiments.supervisor.Supervisor`); per-experiment
     tables are rebuilt from the point results and printed in submission
-    order.  Experiments without a sweep spec fall back to whole-experiment
-    execution in a worker.
+    order, exactly as :func:`run_experiment` prints them.
 
     Fault tolerance: every point carries a size-scaled wall-clock deadline;
     a worker that dies (OOM kill, segfault) or hangs past its deadline is
@@ -503,12 +517,11 @@ def run_parallel(
     (``<results_dir>/journal/``); a resumed campaign replays journalled
     points whose cache entries verify, without re-dispatching them.
 
-    With ``use_shm`` (the default), every distinct workload trace is
-    materialized once in the parent, published into a named
-    ``multiprocessing.shared_memory`` segment, and mapped zero-copy by the
-    workers.  A publish failure degrades to pickle transport (the trace
-    travels in the task payload); an attach failure degrades to per-worker
-    regeneration — results are identical on every path.
+    Every distinct workload trace is materialized once in the parent,
+    published into a named ``multiprocessing.shared_memory`` segment, and
+    mapped zero-copy by the workers.  A publish or attach failure degrades
+    to regenerating the trace in the worker — results are identical on
+    every path.
     """
     import multiprocessing
 
@@ -518,28 +531,26 @@ def run_parallel(
     timeout_base = settings.point_timeout()
     attempts_budget = settings.max_attempts()
 
-    specs: Dict[str, Optional[sweep.SweepSpec]] = {}
+    specs: Dict[str, sweep.SweepSpec] = {}
     spec_errors: Dict[str, str] = {}
     for experiment_id in experiment_ids:
         try:
             specs[experiment_id] = _build_spec(experiment_id)
         except Exception:
             # Reported as a failed experiment below; siblings keep running.
-            specs[experiment_id] = None
             spec_errors[experiment_id] = traceback.format_exc()
 
     trace_handles: Dict[Tuple[object, ...], _TraceTransport] = {}
     shm_segments: List["SharedMemory"] = []
-    if use_shm:
-        reclaimed = sweep.reclaim_stale_segments()
-        if reclaimed:
-            print(
-                f"[runner] reclaimed {len(reclaimed)} stale shared-memory "
-                "segment(s) left by crashed runs",
-                file=sys.stderr,
-            )
-        parent_cache = sweep.shared_trace_cache()
-        parent_cache.store_dir = _trace_store_dir(cache_dir)
+    reclaimed = sweep.reclaim_stale_segments()
+    if reclaimed:
+        print(
+            f"[runner] reclaimed {len(reclaimed)} stale shared-memory "
+            "segment(s) left by crashed runs",
+            file=sys.stderr,
+        )
+    parent_cache = sweep.shared_trace_cache()
+    parent_cache.store_dir = _trace_store_dir(cache_dir)
     resume_cache = (
         sweep.ResultCache(cache_dir, read=True) if (resume and cache_dir) else None
     )
@@ -587,7 +598,7 @@ def run_parallel(
             campaign_events.emit("worker", record)
 
     def _handle_for(point: sweep.SweepPoint) -> _TraceTransport:
-        if not use_shm or not isinstance(point, sweep.SimPoint):
+        if not isinstance(point, sweep.SimPoint):
             return None
         if resume_cache is not None and resume_cache.contains(point):
             # The point will replay from the result cache: don't pay to
@@ -604,6 +615,7 @@ def run_parallel(
             )
             return None
         if key not in trace_handles:
+            trace_handles[key] = None
             try:
                 trace = parent_cache.get(point.workload, point.n_cores)
             except Exception as exc:
@@ -614,78 +626,29 @@ def run_parallel(
                     f"in parent ({exc}); deferring to workers",
                     file=sys.stderr,
                 )
-                trace_handles[key] = None
                 return None
             try:
                 shm_handle, segment = sweep.publish_trace_shm(trace, key)
-                shm_segments.append(segment)
-                trace_handles[key] = shm_handle
             except (OSError, MemoryError, ValueError) as exc:
-                # Publish failure (e.g. /dev/shm exhausted): degrade to
-                # pickle transport — the trace rides the task payload.
+                # Publish failure (e.g. /dev/shm exhausted): the workers
+                # regenerate the trace, as after an attach failure.
                 print(
                     f"[runner] {point.key}: shm publish failed ({exc}); "
-                    "falling back to pickle transport",
+                    "trace will regenerate in workers",
                     file=sys.stderr,
                 )
-                trace_handles[key] = trace
+                return None
+            shm_segments.append(segment)
+            trace_handles[key] = shm_handle
         return trace_handles[key]
 
     point_results: Dict[str, Dict[str, object]] = {e: {} for e in experiment_ids}
     point_errors: Dict[str, Dict[str, str]] = {e: {} for e in experiment_ids}
     point_elapsed: Dict[str, float] = {e: 0.0 for e in experiment_ids}
     cached_counts: Dict[str, int] = {e: 0 for e in experiment_ids}
-    whole_outcomes: Dict[str, Tuple[ExperimentOutcome, str, str]] = {}
-
-    def _point_digest(experiment_id: str, point_key: str) -> Optional[str]:
-        """Content digest binding a journal record to its cache entry."""
-        spec = specs.get(experiment_id)
-        if spec is None:
-            return None
-        fingerprint = spec.point(point_key).fingerprint()
-        if fingerprint is None:
-            return None
-        return sweep.ResultCache.digest(fingerprint)
-
-    def _journal_point(
-        experiment_id: str,
-        point_key: str,
-        *,
-        status: str,
-        cached: bool,
-        attempts: int,
-    ) -> None:
-        if journal_writer is None:
-            return
-        journal_writer.append(
-            {
-                "kind": "point",
-                "experiment_id": experiment_id,
-                "point": point_key,
-                "status": status,
-                "digest": _point_digest(experiment_id, point_key),
-                "seed": _point_seed(base_seed, experiment_id, point_key),
-                "cached": cached,
-                "attempts": attempts,
-                "scale": scale,
-                "max_cores": max_cores,
-            }
-        )
 
     tasks: List[supervisor.TaskSpec] = []
-    for experiment_id in experiment_ids:
-        if experiment_id in spec_errors:
-            continue
-        spec = specs[experiment_id]
-        if spec is None:
-            tasks.append(
-                supervisor.TaskSpec(
-                    task_id=f"whole:{experiment_id}",
-                    payload=("whole", (experiment_id, base_seed, scale, max_cores)),
-                    timeout_s=timeout_base * 8.0,
-                )
-            )
-            continue
+    for experiment_id, spec in specs.items():
         for point in spec.points:
             # Journal replay pre-pass: a point the journal marks complete,
             # whose content digest still matches and whose cache entry
@@ -721,19 +684,16 @@ def run_parallel(
                         continue
             tasks.append(
                 supervisor.TaskSpec(
-                    task_id=f"point:{experiment_id}/{point.key}",
+                    task_id=f"{experiment_id}/{point.key}",
                     payload=(
-                        "point",
-                        (
-                            experiment_id,
-                            point.key,
-                            base_seed,
-                            scale,
-                            max_cores,
-                            cache_dir,
-                            resume,
-                            _handle_for(point),
-                        ),
+                        experiment_id,
+                        point.key,
+                        base_seed,
+                        scale,
+                        max_cores,
+                        cache_dir,
+                        resume,
+                        _handle_for(point),
                     ),
                     timeout_s=_task_timeout(point, timeout_base, scale),
                 )
@@ -747,7 +707,69 @@ def run_parallel(
     progress_tty = sys.stderr.isatty()
     progress_last = [0.0]
 
-    def _progress(status: str, cached: bool) -> None:
+    def _settle(
+        experiment_id: str,
+        point_key: str,
+        *,
+        status: str,
+        attempts: int,
+        elapsed_s: float = 0.0,
+        cached: bool = False,
+        value: object = None,
+        error: Optional[str] = None,
+    ) -> None:
+        """Fold one point's final outcome: record, journal, event, progress."""
+        if error is None:
+            point_results[experiment_id][point_key] = value
+        else:
+            point_errors[experiment_id][point_key] = error
+        point_elapsed[experiment_id] += elapsed_s
+        cached_counts[experiment_id] += int(cached)
+        seed = _point_seed(base_seed, experiment_id, point_key)
+        if results_dir:
+            _write_point_record(
+                results_dir,
+                experiment_id,
+                point_key,
+                status=status,
+                elapsed_s=elapsed_s,
+                cached=cached,
+                seed=seed,
+                value=value,
+                error=error,
+            )
+        if journal_writer is not None:
+            fingerprint = specs[experiment_id].point(point_key).fingerprint()
+            journal_writer.append(
+                {
+                    "kind": "point",
+                    "experiment_id": experiment_id,
+                    "point": point_key,
+                    "status": status,
+                    "digest": (
+                        sweep.ResultCache.digest(fingerprint)
+                        if fingerprint is not None
+                        else None
+                    ),
+                    "seed": seed,
+                    "cached": cached,
+                    "attempts": attempts,
+                    "scale": scale,
+                    "max_cores": max_cores,
+                }
+            )
+        if campaign_events is not None:
+            campaign_events.emit(
+                "point_done",
+                {
+                    "attempts": attempts,
+                    "cached": cached,
+                    "elapsed_s": round(elapsed_s, 6),
+                    "experiment": experiment_id,
+                    "point": point_key,
+                    "status": status,
+                },
+            )
         progress["done"] += 1
         if status != "ok":
             progress["failed"] += 1
@@ -768,45 +790,12 @@ def run_parallel(
             progress_last[0] = elapsed
             print(line, file=sys.stderr)
 
-    def _point_done_event(
-        experiment_id: str,
-        point_key: str,
-        *,
-        status: str,
-        elapsed_s: float,
-        cached: bool,
-        attempts: int,
-    ) -> None:
-        if campaign_events is not None:
-            campaign_events.emit(
-                "point_done",
-                {
-                    "attempts": attempts,
-                    "cached": cached,
-                    "elapsed_s": round(elapsed_s, 6),
-                    "experiment": experiment_id,
-                    "point": point_key,
-                    "status": status,
-                },
-            )
-
-    def _synthesized_error(experiment_id: str, error: str) -> ExperimentOutcome:
-        return ExperimentOutcome(
-            experiment_id=experiment_id,
-            status="error",
-            elapsed_s=0.0,
-            seed=_experiment_seed(base_seed, experiment_id),
-            scale=scale,
-            max_cores=max_cores,
-            error=error,
-        )
-
     # fork (where available) keeps already-imported modules warm in workers.
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
     boss = supervisor.Supervisor(
-        _supervised_task,
+        _run_point_task,
         jobs,
         max_attempts=attempts_budget,
         mp_context=context,
@@ -816,143 +805,44 @@ def run_parallel(
     )
     try:
         for task_outcome in boss.run(tasks) if tasks else ():
-            kind, _, rest = task_outcome.task_id.partition(":")
-            if kind == "point":
-                experiment_id, _, key = rest.partition("/")
-                if task_outcome.status == "quarantined":
-                    message = (
-                        f"quarantined after {task_outcome.attempts} attempt(s):\n  "
-                        + "\n  ".join(task_outcome.failures)
-                    )
-                    point_errors[experiment_id][key] = message
-                    if results_dir:
-                        _write_point_record(
-                            results_dir,
-                            experiment_id,
-                            key,
-                            status="quarantined",
-                            elapsed_s=0.0,
-                            cached=False,
-                            seed=_point_seed(base_seed, experiment_id, key),
-                            error=message,
-                        )
-                    _journal_point(
-                        experiment_id,
-                        key,
-                        status="quarantined",
-                        cached=False,
-                        attempts=task_outcome.attempts,
-                    )
-                    _point_done_event(
-                        experiment_id,
-                        key,
-                        status="quarantined",
-                        elapsed_s=0.0,
-                        cached=False,
-                        attempts=task_outcome.attempts,
-                    )
-                    _progress("quarantined", False)
-                    continue
-                if task_outcome.status == "error":
-                    # The task function itself raised (outside the point's
-                    # own error capture) — deterministic, so never retried.
-                    point_errors[experiment_id][key] = str(task_outcome.value)
-                    if results_dir:
-                        _write_point_record(
-                            results_dir,
-                            experiment_id,
-                            key,
-                            status="error",
-                            elapsed_s=0.0,
-                            cached=False,
-                            seed=_point_seed(base_seed, experiment_id, key),
-                            error=str(task_outcome.value),
-                        )
-                    _journal_point(
-                        experiment_id,
-                        key,
-                        status="error",
-                        cached=False,
-                        attempts=task_outcome.attempts,
-                    )
-                    _point_done_event(
-                        experiment_id,
-                        key,
-                        status="error",
-                        elapsed_s=0.0,
-                        cached=False,
-                        attempts=task_outcome.attempts,
-                    )
-                    _progress("error", False)
-                    continue
-                _, done = cast(Tuple[str, object], task_outcome.value)
-                (
+            experiment_id, _, key = task_outcome.task_id.partition("/")
+            attempts = task_outcome.attempts
+            if task_outcome.status == "quarantined":
+                _settle(
                     experiment_id,
                     key,
-                    status,
-                    elapsed,
-                    cached,
-                    payload,
-                    err_text,
-                ) = cast(_PointDone, done)
-                point_elapsed[experiment_id] += elapsed
-                cached_counts[experiment_id] += int(cached)
-                if status == "ok":
-                    point_results[experiment_id][key] = payload
-                else:
-                    point_errors[experiment_id][key] = str(payload)
+                    status="quarantined",
+                    attempts=attempts,
+                    error=f"quarantined after {attempts} attempt(s):\n  "
+                    + "\n  ".join(task_outcome.failures),
+                )
+            elif task_outcome.status == "error":
+                # The task function itself raised (outside the point's own
+                # error capture) — deterministic, so never retried.
+                _settle(
+                    experiment_id,
+                    key,
+                    status="error",
+                    attempts=attempts,
+                    error=str(task_outcome.value),
+                )
+            else:
+                _, _, status, elapsed, cached, payload, err_text = cast(
+                    _PointDone, task_outcome.value
+                )
                 if err_text:
                     sys.stderr.write(err_text)
-                if results_dir:
-                    _write_point_record(
-                        results_dir,
-                        experiment_id,
-                        key,
-                        status=status,
-                        elapsed_s=elapsed,
-                        cached=cached,
-                        seed=_point_seed(base_seed, experiment_id, key),
-                        value=payload if status == "ok" else None,
-                        error=str(payload) if status != "ok" else None,
-                    )
-                _journal_point(
+                ok = status == "ok"
+                _settle(
                     experiment_id,
                     key,
                     status=status,
-                    cached=cached,
-                    attempts=task_outcome.attempts,
-                )
-                _point_done_event(
-                    experiment_id,
-                    key,
-                    status=status,
+                    attempts=attempts,
                     elapsed_s=elapsed,
                     cached=cached,
-                    attempts=task_outcome.attempts,
+                    value=payload if ok else None,
+                    error=None if ok else str(payload),
                 )
-                _progress(status, cached)
-            else:  # whole-experiment task
-                experiment_id = rest
-                if task_outcome.status in ("quarantined", "error"):
-                    message = (
-                        f"{task_outcome.status} after {task_outcome.attempts} "
-                        "attempt(s):\n  " + "\n  ".join(task_outcome.failures)
-                        if task_outcome.status == "quarantined"
-                        else str(task_outcome.value)
-                    )
-                    whole_outcomes[experiment_id] = (
-                        _synthesized_error(experiment_id, message),
-                        "",
-                        f"[{experiment_id}] FAILED\n{message}\n",
-                    )
-                    _progress("error", False)
-                    continue
-                _, done = cast(Tuple[str, object], task_outcome.value)
-                whole_outcome, out, err = cast(
-                    Tuple[ExperimentOutcome, str, str], done
-                )
-                whole_outcomes[whole_outcome.experiment_id] = (whole_outcome, out, err)
-                _progress("ok", False)
     finally:
         boss.shutdown()
         if campaign_events is not None:
@@ -970,39 +860,25 @@ def run_parallel(
         for segment in shm_segments:
             sweep.release_trace_shm(segment)
 
-    outcomes: List[ExperimentOutcome] = []
-    for experiment_id in experiment_ids:
-        if experiment_id in spec_errors:
-            error = spec_errors[experiment_id]
-            outcome = ExperimentOutcome(
-                experiment_id=experiment_id,
-                status="error",
-                elapsed_s=0.0,
-                seed=_experiment_seed(base_seed, experiment_id),
-                scale=scale,
-                max_cores=max_cores,
-                error=error,
-            )
-            out, err = "", f"[{experiment_id}] FAILED building sweep spec\n" + error
-        elif specs[experiment_id] is None:
-            outcome, out, err = whole_outcomes[experiment_id]
-        else:
-            outcome, out, err = _assemble_experiment(
-                experiment_id,
-                specs[experiment_id],
-                point_results[experiment_id],
-                point_errors[experiment_id],
-                point_elapsed[experiment_id],
-                cached_counts[experiment_id],
-                base_seed,
-            )
-        sys.stdout.write(out)
-        if err:
-            sys.stderr.write(err)
-        if results_dir:
-            _write_record(results_dir, outcome, out)
-        outcomes.append(outcome)
-    return outcomes
+    return [
+        _report(
+            *(
+                _spec_failure(experiment_id, base_seed, spec_errors[experiment_id])
+                if experiment_id in spec_errors
+                else _assemble_experiment(
+                    experiment_id,
+                    specs[experiment_id],
+                    point_results[experiment_id],
+                    point_errors[experiment_id],
+                    point_elapsed[experiment_id],
+                    cached_counts[experiment_id],
+                    base_seed,
+                )
+            ),
+            results_dir,
+        )
+        for experiment_id in experiment_ids
+    ]
 
 
 def run_serial(
@@ -1015,33 +891,28 @@ def run_serial(
 ) -> List[ExperimentOutcome]:
     """Run experiments one after another in this process.
 
-    With ``resume``, a persistent point cache is installed process-wide so
-    each experiment's ``run()`` skips sweep points that are already cached.
-    A cache dir also persists workload traces as ``.npz`` files under
-    ``<cache-dir>/traces``, so later sweeps load instead of regenerating.
+    A cache dir persists every completed point (replayed on ``resume``) and
+    every workload trace as a ``.npz`` file under ``<cache-dir>/traces``, so
+    later sweeps load instead of regenerating.  No journal is written and
+    ``REPRO_FAULT`` is not consulted: both belong to the supervised pool.
     """
+    result_cache = sweep.ResultCache(cache_dir, read=resume) if cache_dir else None
+    trace_cache = sweep.shared_trace_cache()
     if cache_dir:
-        sweep.set_result_cache(sweep.ResultCache(cache_dir, read=resume))
-        sweep.shared_trace_cache().store_dir = _trace_store_dir(cache_dir)
+        trace_cache.store_dir = _trace_store_dir(cache_dir)
     try:
-        outcomes: List[ExperimentOutcome] = []
-        for experiment_id in experiment_ids:
-            if results_dir:
-                outcome, out, err = _run_captured(
-                    (experiment_id, base_seed, settings.scale(), settings.max_cores())
-                )
-                sys.stdout.write(out)
-                if err:
-                    sys.stderr.write(err)
-                _write_record(results_dir, outcome, out)
-            else:
-                outcome = run_experiment(experiment_id, base_seed)
-            outcomes.append(outcome)
-        return outcomes
+        return [
+            run_experiment(
+                experiment_id,
+                base_seed,
+                result_cache=result_cache,
+                results_dir=results_dir,
+            )
+            for experiment_id in experiment_ids
+        ]
     finally:
         if cache_dir:
-            sweep.set_result_cache(None)
-            sweep.shared_trace_cache().store_dir = None
+            trace_cache.store_dir = None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1092,14 +963,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="reuse sweep points already present in the cache dir, simulating only what is missing",
     )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help=(
-            "with --jobs: disable shared-memory trace transport and let each "
-            "worker materialize its own traces (results are identical)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -1134,7 +997,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 results_dir=results_dir,
                 cache_dir=cache_dir,
                 resume=args.resume,
-                use_shm=not args.no_shm,
             )
         except faults.FaultSpecError as exc:
             print(f"invalid REPRO_FAULT specification: {exc}", file=sys.stderr)

@@ -294,9 +294,9 @@ class ShmTraceHandle:
 
     The parent concatenates every core's packed column into one
     ``multiprocessing.shared_memory`` segment; workers rebuild zero-copy
-    read-only array views from ``(segment name, per-core lengths)`` instead
-    of receiving pickled traces.  Only the small metadata (name, params,
-    phase boundaries) travels through the task pickle.
+    read-only array views from ``(segment name, per-core lengths)``.  Only
+    the small metadata (name, params, phase boundaries) travels through the
+    task pickle; the columns never do.
     """
 
     shm_name: str
@@ -731,17 +731,6 @@ class ResultCache:
         return True
 
 
-#: Result cache consulted by :func:`run_point` when none is passed
-#: explicitly; the runner installs one per process for --resume sweeps.
-_active_result_cache: Optional[ResultCache] = None
-
-
-def set_result_cache(cache: Optional[ResultCache]) -> None:
-    """Install (or clear) the process-wide persistent point cache."""
-    global _active_result_cache
-    _active_result_cache = cache
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -754,16 +743,15 @@ def run_point(
     result_cache: Optional[ResultCache] = None,
 ) -> Tuple[Any, bool]:
     """Execute one sweep point; returns ``(value, came_from_cache)``."""
-    cache = result_cache if result_cache is not None else _active_result_cache
-    if cache is not None:
-        hit, value = cache.load(point)
+    if result_cache is not None:
+        hit, value = result_cache.load(point)
         if hit:
             return value, True
     if ctx is None:
         ctx = ExecutionContext()
     value = point.execute(ctx)
-    if cache is not None:
-        cache.store(point, value)
+    if result_cache is not None:
+        result_cache.store(point, value)
     return value, False
 
 
@@ -775,9 +763,10 @@ def execute(
 ) -> Dict[str, Any]:
     """Run every point of a spec in order; returns ``{point key: result}``.
 
-    This is the serial engine behind each experiment's ``run(...)``; the
-    runner's ``--jobs N`` mode instead schedules the same points across
-    worker processes and folds the results with :meth:`SweepSpec.rows`.
+    This is the engine behind each experiment's ``run(...)``; the runner
+    instead runs the same points one at a time (in this process, or across
+    ``--jobs N`` worker processes) and folds the results with
+    :meth:`SweepSpec.rows`.
     """
     ctx = ExecutionContext(trace_cache)
     results: Dict[str, Any] = {}

@@ -213,6 +213,26 @@ class TestRunnerCli:
         captured = capsys.readouterr()
         assert "Table 1" in captured.out  # the healthy sibling still ran
 
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+    def test_module_without_sweep_spec_fails(self, monkeypatch, capsys, tmp_path, jobs):
+        import sys
+        import types
+
+        import repro.experiments.runner as runner_module
+
+        module = types.ModuleType("repro.experiments._no_spec_for_tests")
+        module.main = lambda: print("Stub table")
+        module.render = print
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        monkeypatch.setitem(runner_module.EXPERIMENT_MODULES, "no-spec", module.__name__)
+        argv = ["no-spec", "table1", "--results-dir", str(tmp_path), *jobs]
+        assert runner_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Table 1" in captured.out
+        assert "Stub table" not in captured.out
+        assert "[no-spec] FAILED building sweep spec" in captured.err
+        assert "1 experiment(s) failed: no-spec" in captured.err
+
     def test_results_dir_records(self, tmp_path, capsys):
         results_dir = str(tmp_path / "records")
         assert runner_main(["table1", "--results-dir", results_dir]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -222,6 +223,62 @@ class TestRunnerPointMode:
             traffic_reduction.sweep_spec(n_cores=settings.max_cores()).point_keys
         )
 
+    def test_serial_and_jobs_write_the_same_point_records(self, tmp_path, capsys):
+        def run(name, *extra):
+            results_dir = tmp_path / name
+            args = ["table1", "traffic", "--results-dir", str(results_dir), *extra]
+            assert runner_main(args) == 0
+            out = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if " completed in " not in line
+            ]
+            records = {
+                (path.parent.name, record["point"]): record["status"]
+                for path in (results_dir / "points").glob("*/*.json")
+                for record in [json.loads(path.read_text())]
+            }
+            return out, records
+
+        serial_out, serial_records = run("serial")
+        jobs_out, jobs_records = run("jobs", "--jobs", "2")
+        assert serial_out == jobs_out
+        assert serial_records == jobs_records
+        assert ("table1", "config") in serial_records
+        assert set(serial_records.values()) == {"ok"}
+
+    def test_serial_failing_point_fails_after_the_rest_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import sys
+        import types
+
+        import repro.experiments.runner as runner_module
+
+        def broken(ctx):
+            raise RuntimeError("broken point")
+
+        module = types.ModuleType("repro.experiments._half_broken_for_tests")
+        module.sweep_spec = lambda: SweepSpec(
+            "half-broken",
+            [FuncPoint("bad", broken), FuncPoint("good", lambda ctx: 1)],
+            dict,
+        )
+        module.render = print
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        monkeypatch.setitem(runner_module.EXPERIMENT_MODULES, "half-broken", module.__name__)
+        results_dir = tmp_path / "records"
+        assert runner_main(["half-broken", "--results-dir", str(results_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep points failed: bad" in err
+        assert "broken point" in err
+        statuses = {
+            record["point"]: record["status"]
+            for path in (results_dir / "points" / "half-broken").glob("*.json")
+            for record in [json.loads(path.read_text())]
+        }
+        assert statuses == {"bad": "error", "good": "ok"}
+
     def test_experiment_record_reports_point_counts(self, tmp_path, capsys):
         results_dir = str(tmp_path / "records")
         assert runner_main(["table1", "--jobs", "2", "--results-dir", results_dir]) == 0
@@ -335,7 +392,7 @@ class TestSharedMemoryTraces:
             segment.close()
             segment.unlink()
 
-    def test_jobs_with_and_without_shm_match(self, tmp_path, capsys):
+    def test_publish_failure_regenerates_in_workers(self, tmp_path, capsys, monkeypatch):
         strip = lambda text: [  # noqa: E731
             line
             for line in text.splitlines()
@@ -343,11 +400,19 @@ class TestSharedMemoryTraces:
         ]
         assert runner_main(["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "a")]) == 0
         shm_out = capsys.readouterr().out
-        assert (
-            runner_main(
-                ["traffic", "--jobs", "2", "--no-shm", "--results-dir", str(tmp_path / "b")]
-            )
-            == 0
-        )
-        no_shm_out = capsys.readouterr().out
-        assert strip(shm_out) == strip(no_shm_out)
+
+        publishes = []
+
+        def failing_publish(trace, key):
+            publishes.append(key)
+            raise OSError("no space left in /dev/shm")
+
+        monkeypatch.setattr(sweep, "publish_trace_shm", failing_publish)
+        assert runner_main(["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "b")]) == 0
+        captured = capsys.readouterr()
+        assert publishes, "the runner never tried to publish a trace"
+        assert "shm publish failed" in captured.err
+        assert strip(captured.out) == strip(shm_out)
+        prefix = f"{sweep.SHM_NAME_PREFIX}{os.getpid()}_"
+        segments = os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
+        assert not [name for name in segments if name.startswith(prefix)]
