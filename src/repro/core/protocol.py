@@ -277,8 +277,9 @@ class CoherenceProtocol(abc.ABC):
           think time, ``gap * cpi``, and occupies the core for a per-type
           issue overhead — atomics pay the full µop and fence cost,
           commutative and remote updates a smaller one — before memory
-          latency.  Both constants come from ``config.core``, converted as
-          :class:`~repro.sim.core_model.CoreTimingModel` converts them.
+          latency.  Both constants come from ``config.core`` as floats;
+          ``tests/sim/test_access_api.py`` replays simulations against a
+          reference model of this rule.
         * **Private hits.**  A core satisfies an access in its private
           caches only under its stable state: S/E/M for a load, E/M for a
           store or atomic (left in M), and — per :attr:`HOT_COMMUTATIVE` —

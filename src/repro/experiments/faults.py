@@ -2,7 +2,7 @@
 
 The supervisor (:mod:`repro.experiments.supervisor`) and the result journal
 (:mod:`repro.experiments.journal`) exist to survive worker deaths, hangs,
-shared-memory failures, and torn journal writes.  None of those paths may be
+and torn journal writes.  None of those paths may be
 "discovered in production": this module injects each fault class *on demand
 and deterministically*, so recovery is exercised in CI and the recovered
 campaign can be compared bit-for-bit against a fault-free run.
@@ -12,7 +12,7 @@ Faults are requested through the ``REPRO_FAULT`` environment knob
 
     spec      ::= directive (";" directive)*
     directive ::= kind (":" param "=" value ("," param "=" value)*)?
-    kind      ::= "kill" | "hang" | "shm" | "torn"
+    kind      ::= "kill" | "hang" | "torn"
 
 Directive kinds:
 
@@ -20,8 +20,6 @@ Directive kinds:
   matching point (simulates an OOM kill / hardware loss).
 * ``hang`` — the worker sleeps ``secs`` (default 3600) before executing the
   matching point, so the supervisor's per-point deadline must reap it.
-* ``shm`` — the worker's shared-memory trace attach raises
-  :class:`FaultInjected`, exercising the degrade-to-regeneration path.
 * ``torn`` — the parent's journal append writes only a prefix of the
   record (``cut`` bytes, default half) and raises :class:`SimulatedCrash`,
   simulating a campaign killed mid-write.
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Recognised directive kinds, in documentation order.
-FAULT_KINDS: Tuple[str, ...] = ("kill", "hang", "shm", "torn")
+FAULT_KINDS: Tuple[str, ...] = ("kill", "hang", "torn")
 
 #: Signature of the journal torn-write hook: ``(record, encoded_length) ->
 #: bytes to actually write`` or ``None`` for a clean write.
@@ -59,10 +57,6 @@ TornHook = Callable[[Mapping[str, object], int], Optional[int]]
 
 class FaultSpecError(ValueError):
     """A malformed ``REPRO_FAULT`` specification."""
-
-
-class FaultInjected(RuntimeError):
-    """Raised at an injection site that simulates a recoverable failure."""
 
 
 class SimulatedCrash(RuntimeError):
@@ -146,7 +140,7 @@ def parse_fault_spec(text: str) -> Tuple[FaultDirective, ...]:
 class FaultPlan:
     """The active set of fault directives plus parent-side firing counters.
 
-    Worker-side faults (``kill``/``hang``/``shm``) are matched against the
+    Worker-side faults (``kill``/``hang``) are matched against the
     task's attempt index, which the supervisor threads into the worker, so a
     ``times=1`` directive fires exactly once per matching point and the
     retry runs clean.  The parent-side ``torn`` fault has no retry loop, so

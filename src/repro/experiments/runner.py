@@ -28,10 +28,11 @@ experiment: build its sweep spec, run every point under its own seed, and
 fold the point results into the printed tables.  They differ only in where
 the points run (in this process, or in supervised workers).
 
-With ``--jobs N``, each distinct trace is materialized once in the parent,
-published into ``multiprocessing.shared_memory``, and mapped zero-copy by the
-workers; when publishing or attaching fails, the worker regenerates the
-trace.  Traces never travel through pickles.
+With ``--jobs N`` and ``--cache-dir``, the parent generates each distinct
+trace once, in dispatch order and while the workers run earlier points, and
+stores it in the ``.npz`` store; each point is dispatched once its trace is
+stored, and the worker loads it.  Without a cache dir, each worker generates
+the traces of the points it runs.  Traces never travel through pickles.
 
 With ``--results-dir`` (implied by ``--jobs``), every experiment writes a
 structured JSON record (id, status, elapsed seconds, captured output) and
@@ -65,10 +66,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, cast
-
-if TYPE_CHECKING:
-    from multiprocessing.shared_memory import SharedMemory
+from typing import Dict, List, Mapping, Optional, Set, Tuple, cast
 
 from repro import obs as _obs
 from repro.experiments import (
@@ -84,14 +82,12 @@ from repro.obs import events as obs_events
 #: Default directory for per-experiment JSON records.
 DEFAULT_RESULTS_DIR = os.path.join("results", "experiments")
 
-#: Trace transport for one point: a shared-memory handle (mapped zero-copy),
-#: or None (the worker regenerates the trace).
-_TraceTransport = Optional["sweep.ShmTraceHandle"]
 #: One sweep point shipped to a worker: (experiment id, point key, base
-#: seed, scale, max cores, cache dir, resume flag, trace transport).
-_PointTask = Tuple[str, str, int, float, int, Optional[str], bool, _TraceTransport]
-#: A completed point: (experiment id, point key, status, elapsed seconds,
-#: replayed-from-cache flag, result payload or traceback text, stderr text).
+#: seed, scale, max cores, cache dir, resume flag).
+_PointTask = Tuple[str, str, int, float, int, Optional[str], bool]
+#: A completed point: (experiment id, point key, status, elapsed seconds
+#: including getting its trace, replayed-from-cache flag, result payload or
+#: traceback text, stderr text).
 _PointDone = Tuple[str, str, str, float, bool, object, str]
 
 
@@ -101,6 +97,10 @@ class ExperimentOutcome:
 
     experiment_id: str
     status: str  # "ok" or "error"
+    #: Serial: the experiment's wall time.  ``--jobs``: the sum of its
+    #: points' times in the workers.  Either way a point's time includes
+    #: getting its trace: generating it, or loading it from the ``.npz``
+    #: store.
     elapsed_s: float
     seed: int
     scale: float
@@ -223,12 +223,6 @@ def _build_spec(experiment_id: str) -> sweep.SweepSpec:
     return spec
 
 
-#: Worker-side memo of attached shared-memory traces, keyed by segment name:
-#: each worker maps a published trace at most once and reuses the view for
-#: every sweep point that needs it.
-_attached_traces: Dict[str, sweep.ColumnarTrace] = {}
-
-
 def _trace_store_dir(cache_dir: Optional[str]) -> Optional[str]:
     """Directory holding persisted ``.npz`` traces under a point cache dir."""
     return os.path.join(cache_dir, "traces") if cache_dir else None
@@ -265,14 +259,17 @@ def _emit_point_obs(
 def _run_point_task(args: _PointTask, attempt: int = 0) -> _PointDone:
     """Worker entry point: execute one sweep point.
 
+    The point's trace comes from this worker's trace cache, which loads it
+    from the ``.npz`` store under ``cache_dir`` (where the parent stored it)
+    or generates it; with a store, the cache keeps only the current trace.
     Returns ``(experiment_id, point_key, status, elapsed_s, cached,
-    payload, stderr_text)`` where ``payload`` is the point result on
-    success or the formatted traceback on error.  ``attempt`` is the
-    supervisor's retry index for this point, which keys deterministic
-    fault injection (``REPRO_FAULT``): a ``times=1`` fault fires on the
-    first attempt and the retry runs clean.
+    payload, stderr_text)`` where ``elapsed_s`` includes getting the trace
+    and ``payload`` is the point result on success or the formatted
+    traceback on error.  ``attempt`` is the supervisor's retry index for
+    this point, which keys deterministic fault injection (``REPRO_FAULT``):
+    a ``times=1`` fault fires on the first attempt and the retry runs clean.
     """
-    experiment_id, point_key, base_seed, scale, max_cores, cache_dir, resume, handle = args
+    experiment_id, point_key, base_seed, scale, max_cores, cache_dir, resume = args
     plan = faults.active_plan()
     if plan:
         if plan.should("kill", experiment_id, point_key, attempt) is not None:
@@ -283,7 +280,12 @@ def _run_point_task(args: _PointTask, attempt: int = 0) -> _PointDone:
     settings.set_scale(scale)
     settings.set_max_cores(max_cores)
     cache = sweep.ResultCache(cache_dir, read=resume) if cache_dir else None
-    sweep.shared_trace_cache().store_dir = _trace_store_dir(cache_dir)
+    traces = sweep.shared_trace_cache()
+    traces.store_dir = _trace_store_dir(cache_dir)
+    if cache_dir:
+        # The parent stored every trace: hold only this point's, so the
+        # worker's memory does not depend on which points it ran before.
+        traces.max_traces = 1
     _seed_everything(_point_seed(base_seed, experiment_id, point_key))
     obs_reg = _obs.get_registry()
     obs_baseline = (
@@ -298,36 +300,7 @@ def _run_point_task(args: _PointTask, attempt: int = 0) -> _PointDone:
             spec = _worker_specs.get(experiment_id)
             if spec is None:
                 spec = _worker_specs[experiment_id] = _build_spec(experiment_id)
-            point = spec.point(point_key)
-            if handle is not None:
-                # The parent published this point's trace in shared memory:
-                # map it zero-copy, once per worker.  An attach failure
-                # degrades to regeneration; anything unexpected propagates
-                # as the point's error.
-                try:
-                    shm_fault = (
-                        plan.should("shm", experiment_id, point_key, attempt)
-                        if plan
-                        else None
-                    )
-                    if shm_fault is not None:
-                        raise faults.FaultInjected(
-                            f"injected shm-attach failure ({shm_fault.describe()})"
-                        )
-                    trace = _attached_traces.get(handle.shm_name)
-                    if trace is None:
-                        trace = sweep.attach_trace_shm(handle, in_worker=True)
-                        _attached_traces[handle.shm_name] = trace
-                    sweep.shared_trace_cache().put(
-                        point.workload.key(point.n_cores), trace
-                    )
-                except (OSError, ValueError, faults.FaultInjected) as exc:
-                    print(
-                        f"[worker] {experiment_id}/{point_key}: trace "
-                        f"transport failed ({exc}); regenerating",
-                        file=err,
-                    )
-            value, cached = sweep.run_point(point, result_cache=cache)
+            value, cached = sweep.run_point(spec.point(point_key), result_cache=cache)
     except Exception:
         elapsed = time.perf_counter() - start
         if obs_reg is not None and obs_baseline is not None:
@@ -517,11 +490,21 @@ def run_parallel(
     (``<results_dir>/journal/``); a resumed campaign replays journalled
     points whose cache entries verify, without re-dispatching them.
 
-    Every distinct workload trace is materialized once in the parent,
-    published into a named ``multiprocessing.shared_memory`` segment, and
-    mapped zero-copy by the workers.  A publish or attach failure degrades
-    to regenerating the trace in the worker — results are identical on
-    every path.
+    With a ``cache_dir``, the parent prefetches traces: the supervisor
+    prepares each task in this process (``Supervisor.run``'s ``prepare``),
+    in submission order and while the workers run earlier tasks, and
+    dispatches the task only afterwards.  Preparing generates each distinct
+    trace once and stores it under ``<cache_dir>/traces``, from which the
+    worker loads it.  Without a cache dir there is no store to hand a trace
+    over through, so the parent materializes no trace and each worker
+    generates its own.  The parent holds at most its trace cache's
+    ``max_traces`` traces; a worker holds one with a store (reloading a
+    trace costs less than the memory, which would otherwise depend on the
+    order the points reached the worker), and ``max_traces`` without.
+    Generation is deterministic, so results do not depend on which process
+    generated a trace.  (The prefetch keeps one generation per distinct
+    trace in this process, where ``bench`` counts and pins it; ROADMAP
+    item 6 deletes it once ``bench`` counts the workers' generation.)
     """
     import multiprocessing
 
@@ -540,20 +523,34 @@ def run_parallel(
             # Reported as a failed experiment below; siblings keep running.
             spec_errors[experiment_id] = traceback.format_exc()
 
-    trace_handles: Dict[Tuple[object, ...], _TraceTransport] = {}
-    shm_segments: List["SharedMemory"] = []
-    reclaimed = sweep.reclaim_stale_segments()
-    if reclaimed:
-        print(
-            f"[runner] reclaimed {len(reclaimed)} stale shared-memory "
-            "segment(s) left by crashed runs",
-            file=sys.stderr,
-        )
-    parent_cache = sweep.shared_trace_cache()
-    parent_cache.store_dir = _trace_store_dir(cache_dir)
     resume_cache = (
         sweep.ResultCache(cache_dir, read=True) if (resume and cache_dir) else None
     )
+    parent_cache = sweep.shared_trace_cache()
+    parent_cache.store_dir = _trace_store_dir(cache_dir)
+    prefetched: Set[Tuple[object, ...]] = set()
+
+    def _prefetch(task: supervisor.TaskSpec) -> None:
+        """Generate and store the task's trace for its worker, once per
+        trace key; skip FuncPoints and results the worker will replay."""
+        experiment_id, point_key = cast(_PointTask, task.payload)[:2]
+        point = specs[experiment_id].point(point_key)
+        if not isinstance(point, sweep.SimPoint):
+            return
+        if resume_cache is not None and resume_cache.contains(point):
+            return
+        try:
+            key = point.workload.key(point.n_cores)
+            if key not in prefetched:
+                prefetched.add(key)
+                parent_cache.get(point.workload, point.n_cores)
+        except Exception as exc:
+            # The worker meets the same failure and reports it per point.
+            print(
+                f"[runner] {task.task_id}: trace prefetch failed ({exc}); "
+                "the worker generates it",
+                file=sys.stderr,
+            )
 
     journal_writer: Optional[journal.JournalWriter] = None
     journaled: Dict[Tuple[str, str], Mapping[str, object]] = {}
@@ -596,51 +593,6 @@ def run_parallel(
             record["event"] = event
             record["worker"] = fields.get("pid", "?")
             campaign_events.emit("worker", record)
-
-    def _handle_for(point: sweep.SweepPoint) -> _TraceTransport:
-        if not isinstance(point, sweep.SimPoint):
-            return None
-        if resume_cache is not None and resume_cache.contains(point):
-            # The point will replay from the result cache: don't pay to
-            # materialize and publish a trace nobody will read.  (If the
-            # cached record turns out stale, the worker regenerates.)
-            return None
-        try:
-            key = point.workload.key(point.n_cores)
-        except (TypeError, ValueError) as exc:
-            print(
-                f"[runner] {point.key}: workload key failed ({exc}); "
-                "trace will regenerate in workers",
-                file=sys.stderr,
-            )
-            return None
-        if key not in trace_handles:
-            trace_handles[key] = None
-            try:
-                trace = parent_cache.get(point.workload, point.n_cores)
-            except Exception as exc:
-                # Materialization failed in the parent; defer to the
-                # workers, where the failure is reported per point.
-                print(
-                    f"[runner] {point.key}: trace materialization failed "
-                    f"in parent ({exc}); deferring to workers",
-                    file=sys.stderr,
-                )
-                return None
-            try:
-                shm_handle, segment = sweep.publish_trace_shm(trace, key)
-            except (OSError, MemoryError, ValueError) as exc:
-                # Publish failure (e.g. /dev/shm exhausted): the workers
-                # regenerate the trace, as after an attach failure.
-                print(
-                    f"[runner] {point.key}: shm publish failed ({exc}); "
-                    "trace will regenerate in workers",
-                    file=sys.stderr,
-                )
-                return None
-            shm_segments.append(segment)
-            trace_handles[key] = shm_handle
-        return trace_handles[key]
 
     point_results: Dict[str, Dict[str, object]] = {e: {} for e in experiment_ids}
     point_errors: Dict[str, Dict[str, str]] = {e: {} for e in experiment_ids}
@@ -693,7 +645,6 @@ def run_parallel(
                         max_cores,
                         cache_dir,
                         resume,
-                        _handle_for(point),
                     ),
                     timeout_s=_task_timeout(point, timeout_base, scale),
                 )
@@ -804,7 +755,9 @@ def run_parallel(
         ),
     )
     try:
-        for task_outcome in boss.run(tasks) if tasks else ():
+        for task_outcome in (
+            boss.run(tasks, _prefetch if cache_dir else None) if tasks else ()
+        ):
             experiment_id, _, key = task_outcome.task_id.partition("/")
             attempts = task_outcome.attempts
             if task_outcome.status == "quarantined":
@@ -855,10 +808,6 @@ def run_parallel(
             campaign_events.close()
         if journal_writer is not None:
             journal_writer.close()
-        # The parent owns every published segment: release them only after
-        # all workers have drained (shutdown above joins them).
-        for segment in shm_segments:
-            sweep.release_trace_shm(segment)
 
     return [
         _report(

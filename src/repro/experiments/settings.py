@@ -73,7 +73,7 @@ ENV_KNOBS: Tuple[EnvKnob, ...] = (
         name="REPRO_FAULT",
         default="",
         domain="fault-injection spec (kind[:param=value,...] joined by ';')",
-        description="Deterministic fault injection for the campaign fabric (kill/hang/shm/torn).",
+        description="Deterministic fault injection for the campaign fabric (kill/hang/torn).",
         consumer="repro.experiments.faults",
     ),
     EnvKnob(

@@ -27,6 +27,11 @@ failures: they are reported once with status ``error`` and never retried
 (the task functions are deterministic, so re-running a failing point can
 only waste its timeout again).
 
+:meth:`Supervisor.run` can also take a ``prepare`` callable, run in the
+supervising process once per task before the task is first dispatched; the
+supervisor calls it while workers run earlier tasks (the runner stores each
+point's trace this way).
+
 Workers are plain ``Process`` objects driven over a per-worker ``Pipe``;
 they are respawned lazily after a death or a reaping, so a campaign with no
 faults pays nothing beyond the pipes.
@@ -382,37 +387,60 @@ class Supervisor:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self, tasks: Sequence[TaskSpec]) -> Iterator[TaskOutcome]:
+    def run(
+        self,
+        tasks: Sequence[TaskSpec],
+        prepare: Optional[Callable[[TaskSpec], None]] = None,
+    ) -> Iterator[TaskOutcome]:
         """Execute every task, yielding outcomes as they become terminal.
 
         Outcomes arrive in completion order (like ``imap_unordered``); the
         caller folds them by ``task_id``.  Workers are always torn down on
         the way out, including when the caller abandons the iterator.
+
+        ``prepare``, if given, runs in this process once per task, in
+        submission order, before the task can be dispatched.  The
+        supervisor calls it while the workers run earlier tasks, so
+        preparation overlaps execution instead of preceding it.
+        Completions, worker deaths and deadlines are serviced between
+        calls; a call itself blocks the loop, so a worker that finishes
+        during one waits for it to return.
         """
         seen: Dict[str, int] = {}
         for spec in tasks:
             if spec.task_id in seen:
                 raise ValueError(f"duplicate task id {spec.task_id!r}")
             seen[spec.task_id] = 1
-        pending = [_Pending(spec=spec, attempt=0, eligible_at=0) for spec in tasks]
+        unprepared = [_Pending(spec=spec, attempt=0, eligible_at=0) for spec in tasks]
+        remaining = len(unprepared)
+        if prepare is None:
+            pending, unprepared = unprepared, []
+        else:
+            pending = []
+            unprepared.reverse()  # popped from the end, in submission order
         self._failures.clear()
         self._pending_retries = []
-        remaining = len(pending)
         try:
             while remaining:
                 pending.extend(self._pending_retries)
                 self._pending_retries = []
                 self._dispatch(pending)
                 busy = [s for s in self._slots if s.busy is not None]
-                if not busy:  # pragma: no cover - scheduling invariant
+                if unprepared:
+                    assert prepare is not None
+                    item = unprepared.pop()
+                    prepare(item.spec)
+                    pending.append(item)
+                    timeout = 0.0
+                elif not busy:  # pragma: no cover - scheduling invariant
                     raise RuntimeError(
                         f"supervisor stalled with {remaining} task(s) unfinished"
                     )
-                now = time.monotonic()
-                next_deadline = min(s.deadline for s in busy)
+                else:
+                    timeout = max(0.0, min(s.deadline for s in busy) - time.monotonic())
                 handles: List[Any] = [s.conn for s in busy]
                 handles.extend(s.process.sentinel for s in busy)
-                ready = set(wait(handles, timeout=max(0.0, next_deadline - now)))
+                ready = set(wait(handles, timeout=timeout))
                 for slot in busy:
                     if slot.busy is None:
                         continue

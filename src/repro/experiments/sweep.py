@@ -22,11 +22,9 @@ structure out:
   regeneration.
 * Traces are held in the packed columnar form
   (:class:`~repro.sim.columnar.ColumnarTrace`): ~29 bytes per access, which
-  lets the cache hold 4x more traces, persists each trace as a verified
-  ``.npz`` file when a cache directory is configured, and lets the parallel
-  runner publish traces once into ``multiprocessing.shared_memory`` so
-  workers map them zero-copy instead of regenerating or unpickling them
-  (:func:`publish_trace_shm` / :func:`attach_trace_shm`).
+  lets the cache hold 4x more traces, and persists each trace as a verified
+  ``.npz`` file when a cache directory is configured, which is how the
+  parallel runner hands the traces its parent generates to its workers.
 * Completed points can be persisted in a :class:`ResultCache` keyed by a
   content hash of (machine config, workload parameters, protocol, seed,
   scale), which is what ``runner --resume`` uses to skip finished work.
@@ -212,18 +210,13 @@ class TraceCache:
         if trace is not None:
             self._traces.move_to_end(key)
             self.hits += 1
-            return trace
-        self.misses += 1
-        trace = self._load_or_materialize(spec, n_cores, key)
-        self.put(key, trace)
-        return trace
-
-    def put(self, key: Tuple, trace: ColumnarTrace) -> None:
-        """Insert an externally materialized trace (shared-memory preload)."""
-        self._traces[key] = trace
-        self._traces.move_to_end(key)
+        else:
+            self.misses += 1
+            trace = self._traces[key] = self._load_or_materialize(spec, n_cores, key)
+        # Trims on hits too, so a lowered ``max_traces`` holds from the next get.
         while len(self._traces) > self.max_traces:
             self._traces.popitem(last=False)
+        return trace
 
     def _load_or_materialize(
         self, spec: WorkloadSpec, n_cores: int, key: Tuple
@@ -284,8 +277,10 @@ _shared_trace_cache = TraceCache()
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy trace transport (runner --jobs N)
+# Zero-copy trace transport through shared memory
 # ---------------------------------------------------------------------------
+# The runner no longer uses these (it hands traces over through the .npz store);
+# they stay only because the benchmark imports and wraps them.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -307,7 +302,7 @@ class ShmTraceHandle:
     key_digest: str
 
 
-#: Name prefix of every shared-memory segment the runner publishes.  The
+#: Name prefix of every shared-memory segment :func:`publish_trace_shm` makes.  The
 #: owning pid is embedded right after it (``repro_shm_<pid>_<digest>``) so
 #: :func:`reclaim_stale_segments` can tell a live campaign's segments from
 #: those leaked by a crashed one.
@@ -351,9 +346,9 @@ def reclaim_stale_segments(shm_dir: str = "/dev/shm") -> List[str]:
     """Unlink ``repro_shm_*`` segments whose owning process is dead.
 
     A campaign killed with SIGKILL never runs its cleanup, leaving its
-    published trace segments pinned in ``/dev/shm`` until reboot.  The
-    runner calls this at startup: any segment whose name carries a pid that
-    no longer exists is leaked and reclaimed.  Segments owned by live pids
+    published trace segments pinned in ``/dev/shm`` until reboot.  Call this
+    at startup: any segment whose name carries a pid that no longer exists
+    is leaked and reclaimed.  Segments owned by live pids
     (or pids this user cannot signal) are left alone.  Returns the names
     reclaimed; on platforms without a POSIX shm filesystem this is a no-op.
     """
@@ -655,11 +650,11 @@ class ResultCache:
     def contains(self, point: SweepPoint) -> bool:
         """Cheap existence probe (no load or verification).
 
-        Used for scheduling decisions — e.g. the parallel runner skips
-        publishing a trace for a point whose result will replay from this
+        Used for scheduling decisions: the parallel runner skips
+        prefetching a trace for a point whose result will replay from this
         cache.  A stale or corrupt file can return a false positive; the
         worker's :meth:`load` still verifies before trusting it, and falls
-        back to simulating (regenerating its trace locally).
+        back to simulating (generating its trace locally).
         """
         if not self.read:
             return False

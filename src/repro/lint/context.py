@@ -65,7 +65,6 @@ OBS_WALLCLOCK_MODULES: Tuple[str, ...] = (
 #: declare ``__slots__`` (rule H301).
 HOT_SLOTS_MODULES: Tuple[str, ...] = (
     "src/repro/sim/access.py",
-    "src/repro/sim/core_model.py",
     "src/repro/sim/stats.py",
     "src/repro/sim/kernel.py",
     "src/repro/sim/simulator.py",

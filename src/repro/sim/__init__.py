@@ -17,7 +17,6 @@ from repro.sim.config import (
     small_test_config,
     table1_config,
 )
-from repro.sim.core_model import CoreTimingModel
 from repro.sim.stats import AMAT_COMPONENTS, CoreStats, LatencyBreakdown, SimulationResult
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "ColumnarTrace",
     "CoreConfig",
     "CoreStats",
-    "CoreTimingModel",
     "LatencyBreakdown",
     "MemoryAccess",
     "MemoryConfig",

@@ -35,6 +35,7 @@ class TestParseFaultSpec:
         "spec",
         [
             "explode",  # unknown kind
+            "shm:point=counter",  # retired kind: no injection site left
             "kill:point",  # parameter without value
             "kill:bogus=1",  # unknown parameter
             "kill:times=zero",  # malformed value

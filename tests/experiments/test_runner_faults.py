@@ -2,7 +2,7 @@
 
 A synthetic experiment (3 protocols x 2 workloads) is registered with the
 runner, executed fault-free, and then re-executed under deterministically
-injected faults — worker SIGKILL, shm-attach failure, torn journal writes.
+injected faults — worker SIGKILL, torn journal writes.
 After recovery (in-run retries, or a killed campaign resumed), the
 deterministic projection of the campaign's point records must be
 byte-identical to the fault-free run.
@@ -99,7 +99,7 @@ def _campaign(tmp_path, name, *, resume=False, extra_env=(), monkeypatch=None):
 
 
 class TestFaultRecoveryBitIdentity:
-    def test_kill_and_shm_faults_recover_bit_identical(
+    def test_kill_faults_recover_bit_identical(
         self, tmp_path, chaos_grid, monkeypatch, capsys
     ):
         code, clean_dir = _campaign(tmp_path, "clean", monkeypatch=monkeypatch)
@@ -109,7 +109,9 @@ class TestFaultRecoveryBitIdentity:
             "faulted",
             monkeypatch=monkeypatch,
             extra_env=(
-                ("REPRO_FAULT", "kill:point=hist/MESI;shm:point=counter"),
+                # Each killed point's retry runs in a fresh worker, which
+                # loads the point's trace from the store.
+                ("REPRO_FAULT", "kill:point=hist/MESI;kill:point=counter"),
             ),
         )
         assert code == 0

@@ -46,6 +46,12 @@ def _hang_on_first_attempt(payload: object, attempt: int) -> object:
     return (payload, attempt)
 
 
+def _hang_on_zero(payload: object, attempt: int) -> object:
+    if payload == 0:
+        time.sleep(60)
+    return payload
+
+
 def _run(tasks, worker_fn, jobs=2, **kwargs):
     return {o.task_id: o for o in supervise(tasks, worker_fn, jobs, **kwargs)}
 
@@ -221,6 +227,75 @@ class TestLifecycleHook:
         # fast path a single attribute test.
         outcomes = _run([TaskSpec("t", 3, 60)], _square, jobs=1)
         assert outcomes["t"].value == 9
+
+
+class TestPrepare:
+    def test_each_task_is_prepared_once_in_order_before_its_dispatch(self):
+        events = []
+
+        def lifecycle(event, fields):
+            if event == "dispatch":
+                events.append(("dispatch", fields["task"]))
+
+        tasks = [TaskSpec(task_id=f"t{i}", payload=i, timeout_s=60) for i in range(4)]
+        supervisor = Supervisor(_square, 2, on_lifecycle=lifecycle)
+        outcomes = list(
+            supervisor.run(tasks, prepare=lambda spec: events.append(("prepare", spec.task_id)))
+        )
+        assert [o.status for o in outcomes] == ["ok"] * 4
+        assert [t for e, t in events if e == "prepare"] == ["t0", "t1", "t2", "t3"]
+        for task in ("t0", "t1", "t2", "t3"):
+            assert events.index(("prepare", task)) < events.index(("dispatch", task))
+        # Preparation overlaps execution: t0 runs before t3 is prepared.
+        assert events.index(("dispatch", "t0")) < events.index(("prepare", "t3"))
+
+    def test_retry_is_not_prepared_again(self):
+        prepared = []
+        tasks = [TaskSpec("poison", "poison", 60), TaskSpec("fine", "fine", 60)]
+        supervisor = Supervisor(_die_on_first_attempt, 1, on_event=lambda _: None)
+        outcomes = {
+            o.task_id: o
+            for o in supervisor.run(tasks, prepare=lambda spec: prepared.append(spec.task_id))
+        }
+        assert outcomes["poison"].status == "ok" and outcomes["poison"].attempts == 2
+        assert outcomes["fine"].status == "ok"
+        assert prepared == ["poison", "fine"]
+
+    def test_completion_is_yielded_between_slow_prepares(self):
+        events = []
+
+        def slow_prepare(spec):
+            events.append(("prepare", spec.task_id))
+            if spec.task_id != "t0":
+                time.sleep(0.5)
+
+        tasks = [TaskSpec(task_id=f"t{i}", payload=i, timeout_s=60) for i in range(4)]
+        for outcome in Supervisor(_square, 2).run(tasks, prepare=slow_prepare):
+            events.append(("done", outcome.task_id))
+        # t0 finishes during t1's prepare and is handed out before t2's.
+        assert events.index(("done", "t0")) < events.index(("prepare", "t2"))
+
+    def test_hung_task_is_reaped_between_slow_prepares(self):
+        events = []
+
+        def slow_prepare(spec):
+            events.append(("prepare", spec.task_id))
+            if spec.task_id != "t0":
+                time.sleep(0.5)
+
+        tasks = [TaskSpec("t0", 0, 0.2)] + [TaskSpec(f"t{i}", i, 60) for i in (1, 2, 3)]
+        supervisor = Supervisor(
+            _hang_on_zero, 1, max_attempts=1, on_event=lambda _: None
+        )
+        outcomes = {}
+        for outcome in supervisor.run(tasks, prepare=slow_prepare):
+            events.append(("done", outcome.task_id))
+            outcomes[outcome.task_id] = outcome
+        assert outcomes["t0"].status == "quarantined"
+        assert all(outcomes[f"t{i}"].status == "ok" for i in (1, 2, 3))
+        # t0's deadline passes during t1's prepare; t0 is reaped (and t1
+        # dispatched to a fresh worker) before t2's prepare starts.
+        assert events.index(("done", "t0")) < events.index(("prepare", "t2"))
 
 
 class TestShutdown:

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.experiments import settings, sweep
-from repro.experiments import traffic_reduction
+from repro.experiments import sensitivity_reduction_unit, traffic_reduction
 from repro.experiments.runner import main as runner_main
 from repro.experiments.sweep import (
     ExecutionContext,
@@ -392,27 +392,104 @@ class TestSharedMemoryTraces:
             segment.close()
             segment.unlink()
 
-    def test_publish_failure_regenerates_in_workers(self, tmp_path, capsys, monkeypatch):
-        strip = lambda text: [  # noqa: E731
-            line
-            for line in text.splitlines()
-            if not line.startswith("[traffic] completed")
+
+class TestParallelTraceGeneration:
+    """Where ``--jobs`` traces come from: with a cache dir, the parent's
+    prefetch into the ``.npz`` store; without one, each worker."""
+
+    @staticmethod
+    def _strip_timing(text):
+        return [line for line in text.splitlines() if not line.startswith("[traffic] completed")]
+
+    def test_parent_materializes_no_trace(self, tmp_path, capsys, monkeypatch):
+        # Forked workers inherit the parent's trace cache: start it empty so
+        # any trace the parent materialized would be counted here.
+        sweep.shared_trace_cache().clear()
+        parent_calls = []
+        materialize = WorkloadSpec.materialize_columnar
+
+        def counting(self, n_cores):
+            # Appends made in forked workers stay in the workers.
+            parent_calls.append(n_cores)
+            return materialize(self, n_cores)
+
+        monkeypatch.setattr(WorkloadSpec, "materialize_columnar", counting)
+        # No --cache-dir: there is no store to prefetch into.
+        argv = ["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "jobs")]
+        assert runner_main(argv) == 0
+        assert parent_calls == []
+        parallel_out = capsys.readouterr().out
+        assert runner_main(["traffic"]) == 0
+        assert parent_calls, "the serial run generated no trace"
+        serial_out = capsys.readouterr().out
+        assert self._strip_timing(parallel_out) == self._strip_timing(serial_out)
+
+    # ``sensitivity`` runs each trace under two machine configs, so points
+    # share keys across workers; four workers spread them wider.
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_parent_prefetches_each_trace_once(self, tmp_path, monkeypatch, jobs):
+        sweep.shared_trace_cache().clear()
+        parent = os.getpid()
+        parent_keys = []
+        worker_log = tmp_path / "worker-generated"
+        materialize = WorkloadSpec.materialize_columnar
+
+        def counting(self, n_cores):
+            if os.getpid() == parent:
+                parent_keys.append(self.key(n_cores))
+            else:
+                with open(worker_log, "a") as handle:
+                    handle.write(f"{self.key(n_cores)!r}\n")
+            return materialize(self, n_cores)
+
+        monkeypatch.setattr(WorkloadSpec, "materialize_columnar", counting)
+        cache_dir = tmp_path / "cache"
+        argv = [
+            "traffic",
+            "sensitivity",
+            "--jobs",
+            str(jobs),
+            "--results-dir",
+            str(tmp_path / "results"),
+            "--cache-dir",
+            str(cache_dir),
         ]
-        assert runner_main(["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "a")]) == 0
-        shm_out = capsys.readouterr().out
+        assert runner_main(argv) == 0
+        points = [
+            point
+            for module in (traffic_reduction, sensitivity_reduction_unit)
+            for point in module.sweep_spec().points
+            if isinstance(point, SimPoint)
+        ]
+        keys = {point.workload.key(point.n_cores): point for point in points}
+        assert len(parent_keys) == len(keys) and set(parent_keys) == set(keys)
+        assert not worker_log.exists(), worker_log.read_text()
+        stored = sorted(os.listdir(cache_dir / "traces"))
+        assert stored == sorted(f"{sweep.trace_key_digest(key)}.npz" for key in keys)
 
-        publishes = []
+        def regenerate(self, n_cores):
+            raise AssertionError("a stored trace was regenerated")
 
-        def failing_publish(trace, key):
-            publishes.append(key)
-            raise OSError("no space left in /dev/shm")
+        monkeypatch.setattr(WorkloadSpec, "materialize_columnar", regenerate)
+        cache = TraceCache(store_dir=str(cache_dir / "traces"))
+        for point in keys.values():
+            cache.get(point.workload, point.n_cores)
+        assert cache.disk_loads == len(keys) and cache.disk_stores == 0
 
-        monkeypatch.setattr(sweep, "publish_trace_shm", failing_publish)
-        assert runner_main(["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "b")]) == 0
-        captured = capsys.readouterr()
-        assert publishes, "the runner never tried to publish a trace"
-        assert "shm publish failed" in captured.err
-        assert strip(captured.out) == strip(shm_out)
-        prefix = f"{sweep.SHM_NAME_PREFIX}{os.getpid()}_"
-        segments = os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
-        assert not [name for name in segments if name.startswith(prefix)]
+    def test_worker_holds_one_trace_with_a_store(self, tmp_path, monkeypatch):
+        # A worker's memory must not depend on which points reached it.
+        parent = os.getpid()
+        held_log = tmp_path / "held"
+        get = TraceCache.get
+
+        def recording(self, spec, n_cores):
+            trace = get(self, spec, n_cores)
+            if os.getpid() != parent:
+                with open(held_log, "a") as handle:
+                    handle.write(f"{len(self._traces)}\n")
+            return trace
+
+        monkeypatch.setattr(TraceCache, "get", recording)
+        argv = ["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "results")]
+        assert runner_main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+        assert set(held_log.read_text().split()) == {"1"}

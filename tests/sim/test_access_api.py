@@ -11,16 +11,60 @@ the latency totals exactly as a simulation of the same streams does.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, WorkloadTrace
-from repro.sim.config import small_test_config
-from repro.sim.core_model import CoreTimingModel
+from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace
+from repro.sim.config import CoreConfig, small_test_config
 from repro.sim.simulator import MulticoreSimulator, make_protocol
 from repro.sim.stats import LatencyBreakdown
+
+
+@dataclass
+class CoreTimingModel:
+    """Reference statement of the issue-timing rule (paper Sec. 5.1).
+
+    Non-memory instructions retire at a fixed CPI; atomic read-modify-writes
+    pay a fixed µop overhead (load-linked, execute, store-conditional,
+    fence) and commutative or remote updates a smaller one (no register
+    result, but the implicit TSO fence).  :meth:`CoherenceProtocol.make_step`
+    hoists the same constants from ``config.core`` with the same ``float``
+    conversions; the replay below charges them through this model.
+    """
+
+    config: CoreConfig
+
+    def think_cycles(self, access: MemoryAccess) -> float:
+        """Cycles spent on the instructions preceding this access."""
+        return access.think_instructions * self.config.cycles_per_instruction
+
+    def issue_overhead(self, access: MemoryAccess) -> float:
+        """Core-side overhead of the access itself, beyond memory latency."""
+        if access.access_type is AccessType.ATOMIC_RMW:
+            return float(self.config.atomic_uop_overhead)
+        if access.access_type in (AccessType.COMMUTATIVE_UPDATE, AccessType.REMOTE_UPDATE):
+            return float(self.config.commutative_uop_overhead)
+        return 0.0
+
+    def cycles_for(self, access: MemoryAccess, memory_latency: float) -> float:
+        """Total cycles this access occupies the core."""
+        return self.think_cycles(access) + self.issue_overhead(access) + memory_latency
+
+
+def test_core_timing_model():
+    model = CoreTimingModel(CoreConfig())
+    load = MemoryAccess.load(0x0, think=10)
+    atomic = MemoryAccess.atomic(0x0, CommutativeOp.ADD_I64, 1)
+    commutative = MemoryAccess.commutative(0x0, CommutativeOp.ADD_I64, 1)
+    assert model.think_cycles(load) == 5.0
+    assert model.issue_overhead(load) == 0.0
+    assert model.issue_overhead(atomic) == 12.0
+    assert model.issue_overhead(commutative) == 4.0
+    assert model.issue_overhead(atomic) > model.issue_overhead(commutative)
+    assert model.cycles_for(load, memory_latency=40.0) == 45.0
 
 #: Lines crowding L1 set 0 and two L2 sets of the tiny test machine, plus a
 #: few neighbours, so fills evict and L2 hits refill the L1.

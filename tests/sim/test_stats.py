@@ -185,22 +185,3 @@ class TestResultRoundTrip:
         assert summary["max_link_utilization"] == 0.256
         assert summary["mean_link_utilization"] == 0.16
         assert summary["contention_surcharge_cycles"] == 42.5
-
-
-class TestCoreModel:
-    def test_core_timing_model(self):
-        from repro.core.commutative import CommutativeOp
-        from repro.sim.access import MemoryAccess
-        from repro.sim.config import CoreConfig
-        from repro.sim.core_model import CoreTimingModel
-
-        model = CoreTimingModel(CoreConfig())
-        load = MemoryAccess.load(0x0, think=10)
-        atomic = MemoryAccess.atomic(0x0, CommutativeOp.ADD_I64, 1)
-        commutative = MemoryAccess.commutative(0x0, CommutativeOp.ADD_I64, 1)
-        assert model.think_cycles(load) == 5.0
-        assert model.issue_overhead(load) == 0.0
-        assert model.issue_overhead(atomic) == 12.0
-        assert model.issue_overhead(commutative) == 4.0
-        assert model.issue_overhead(atomic) > model.issue_overhead(commutative)
-        assert model.cycles_for(load, memory_latency=40.0) == 45.0
