@@ -94,8 +94,8 @@ class MesiProtocol(CoherenceProtocol):
         # reductions); the transactions below write ``core_states`` and
         # ``touched_cores`` directly with the same effect.  When the batched
         # kernel runs, it registers a set to learn which (core, line) pairs
-        # a transaction touched so it can repair their tag mirrors
-        # incrementally and invalidate chunk classifications.
+        # a transaction touched, so it can drop the classified windows of
+        # other cores that still hold one of those lines.
         touched = self.touched_cores
         if touched is not None:
             touched.add((core_id, line_addr))

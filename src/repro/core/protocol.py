@@ -28,7 +28,6 @@ from repro import obs as _obs
 from repro.core.directory import Directory
 from repro.core.reduction import ReductionUnit
 from repro.core.states import StableState
-from repro.hierarchy.cache import STATE_EXCLUSIVE, STATE_MODIFIED, STATE_UPDATE, UOP_NONE
 from repro.hierarchy.system import CacheHierarchy
 from repro.interconnect.messages import MessageType
 from repro.interconnect.network import InterconnectModel
@@ -48,6 +47,21 @@ from repro.sim.columnar import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, LatencyBreakdown
+
+#: Per-line coherence-state codes of the :meth:`CoherenceProtocol.hot_mask`
+#: contract.  They mirror the MESI/MEUSI stable states without the enum, so
+#: a window's states fit one ``uint8`` array: 0 marks a line that is not
+#: L1-resident or has no tracked state.
+STATE_ABSENT = 0
+STATE_SHARED = 1
+STATE_EXCLUSIVE = 2
+STATE_MODIFIED = 3
+STATE_UPDATE = 4
+
+#: Sentinel for "no classifiable update op" in :meth:`CoherenceProtocol.hot_mask`'s
+#: ``uops``.
+UOP_NONE = 255
+
 
 @dataclass(slots=True)
 class AccessOutcome:
@@ -161,9 +175,9 @@ class CoherenceProtocol(abc.ABC):
         #: When the batched kernel runs, this holds a set that every
         #: cross-core stable-state mutation (``MesiProtocol._set_state``)
         #: records ``(core_id, line_addr)`` pairs into, so the kernel knows
-        #: which tag-mirror entries and chunk classifications a slow-path
-        #: action invalidated.  ``None`` (the default) disables the
-        #: bookkeeping for the scalar paths.
+        #: which other cores' classified windows a slow-path action may have
+        #: invalidated.  ``None`` (the default) disables the bookkeeping for
+        #: the scalar paths.
         self.touched_cores: Optional[Set] = None
         #: Simulator time of the access currently being resolved; protocol
         #: engines set this at the top of :meth:`access` so internal helpers
@@ -461,11 +475,12 @@ class CoherenceProtocol(abc.ABC):
         ``kinds``
             Access kind per :data:`repro.sim.columnar.CODE_KIND`.
         ``member``
-            Whether the line is L1-resident (from the core's
-            :class:`~repro.hierarchy.cache.TagArray` mirror).
+            Whether the line is L1-resident with a tracked state
+            (``states != STATE_ABSENT``).
         ``states``
-            The core's stable-state code for the line
-            (``repro.hierarchy.cache.STATE_*``; 0 when absent/untracked).
+            The core's stable-state code for the line (the ``STATE_*``
+            codes of this module; ``STATE_ABSENT`` when the line is not in
+            the core's L1 or has no tracked state).
         ``uops``
             For ``STATE_UPDATE`` lines, the directory entry's op index when
             same-type updates may buffer locally (else ``UOP_NONE``).

@@ -82,17 +82,6 @@ class FaultDirective:
             and attempt < self.times
         )
 
-    def describe(self) -> str:
-        """Compact human-readable form for log lines."""
-        parts = [self.kind]
-        if self.experiment:
-            parts.append(f"exp={self.experiment}")
-        if self.point:
-            parts.append(f"point={self.point}")
-        if self.times != 1:
-            parts.append(f"times={self.times}")
-        return ":".join(parts[:1]) + (":" + ",".join(parts[1:]) if parts[1:] else "")
-
 
 def parse_fault_spec(text: str) -> Tuple[FaultDirective, ...]:
     """Parse a ``REPRO_FAULT`` value; raises :class:`FaultSpecError`."""

@@ -497,8 +497,9 @@ def run_parallel(
     trace once and stores it under ``<cache_dir>/traces``, from which the
     worker loads it.  Without a cache dir there is no store to hand a trace
     over through, so the parent materializes no trace and each worker
-    generates its own.  The parent holds at most its trace cache's
-    ``max_traces`` traces; a worker holds one with a store (reloading a
+    generates its own.  The parent prefetches through a cache of its own
+    that holds one trace, and leaves the process-wide trace cache as it
+    found it; a worker holds one trace with a store (reloading a
     trace costs less than the memory, which would otherwise depend on the
     order the points reached the worker), and ``max_traces`` without.
     Generation is deterministic, so results do not depend on which process
@@ -526,8 +527,9 @@ def run_parallel(
     resume_cache = (
         sweep.ResultCache(cache_dir, read=True) if (resume and cache_dir) else None
     )
-    parent_cache = sweep.shared_trace_cache()
-    parent_cache.store_dir = _trace_store_dir(cache_dir)
+    # The parent never reads a prefetched trace back: it only fills the
+    # store the workers load from.
+    prefetch_cache = sweep.TraceCache(max_traces=1, store_dir=_trace_store_dir(cache_dir))
     prefetched: Set[Tuple[object, ...]] = set()
 
     def _prefetch(task: supervisor.TaskSpec) -> None:
@@ -543,7 +545,7 @@ def run_parallel(
             key = point.workload.key(point.n_cores)
             if key not in prefetched:
                 prefetched.add(key)
-                parent_cache.get(point.workload, point.n_cores)
+                prefetch_cache.get(point.workload, point.n_cores)
         except Exception as exc:
             # The worker meets the same failure and reports it per point.
             print(

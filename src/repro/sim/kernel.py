@@ -6,18 +6,18 @@ workloads the overwhelming majority of accesses are private L1 hits that
 change no coherence state visible to any other core.  This kernel removes
 the interpreter from that common case:
 
-* Each core's private L1 residency and stable states are mirrored into flat
-  NumPy arrays (:class:`~repro.hierarchy.cache.TagArray`), kept coherent
-  with the object caches only at slow-path boundaries.
 * Per chunk of the columnar trace (a window of up to
   :data:`DEFAULT_BATCH_SIZE` accesses), the "is this a private L1 hit in a
-  stable state?" predicate is evaluated for the whole chunk at once against
-  the tag mirror (:meth:`CoherenceProtocol.hot_mask`).  The resulting mask is *reused*
-  across the slow accesses inside the window: after a coherence action the
-  executing core lazily re-evaluates just the entries its next runs consume
-  (a clean-watermark, amortized O(1) per access), and touched cores repair
-  exactly their touched line's occurrences — so classification cost
-  amortizes over the window even when hit-runs are short.
+  stable state?" predicate is evaluated for the whole chunk at once
+  (:meth:`CoherenceProtocol.hot_mask`).  Its inputs are read straight from
+  the object caches and the engine's state tables, once per distinct line
+  of the window; the kernel keeps no copy of any core's L1.
+* A window's mask stays valid until a boundary access may have changed a
+  line it classifies.  The executing core's window is then dropped (its
+  L1 may have filled, evicted or upgraded anything); another core's window
+  is dropped only when a line the access touched (``touched_cores``)
+  appears in its unconsumed part.  The next classification recomputes a
+  dropped window from the core's cursor.
 * A *hit-run* — a maximal hot prefix of the mask — is retired in slices.
   A slice longer than :data:`MAX_STEP_SLICE` advances with O(1) Python
   work: clocks, compute/memory cycles, latency and per-type counters are
@@ -89,17 +89,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.states import StableState
-from repro.hierarchy.cache import (
+from repro.core.protocol import (
     STATE_ABSENT,
     STATE_EXCLUSIVE,
     STATE_MODIFIED,
     STATE_SHARED,
     STATE_UPDATE,
-    TAG_EMPTY,
-    TagArray,
     UOP_NONE,
 )
+from repro.core.states import StableState
 from repro import obs as _obs
 from repro.sim.columnar import (
     CODE_KIND,
@@ -114,7 +112,7 @@ from repro.sim.columnar import (
 )
 from repro.sim.stats import CoreStats
 
-#: StableState -> TagArray state code (None covers untracked lines).
+#: StableState -> ``hot_mask`` state code (None covers untracked lines).
 _STATE_CODE = {
     None: STATE_ABSENT,
     StableState.INVALID: STATE_ABSENT,
@@ -156,19 +154,20 @@ _EXACT_CLOCK_LIMIT = float(1 << 44)
 #:   over every runnable core: each one's hit-run is cut at the event and
 #:   applied as a fragment, ~5-10 µs per fragment.  So the kernel's extra
 #:   cost per slow event grows with the runnable cores, ~6 µs each.
-#: * A scalar slow event costs ~6 µs in all.  A kernel slow event that
-#:   disturbs the executing core's window also pays its lazy
-#:   reclassification: on a one-core histogram point (4,157 slow events,
-#:   8.6 batched hits per event) ``eval_mask`` cost ~50 µs a call and
-#:   ``clean_prefix`` ~100 µs, and the kernel took 0.56-0.73 s against the
-#:   scalar loop's 0.08-0.12 s.  Such a point must bail, not linger.
+#: * A scalar slow event costs ~6 µs in all.  A kernel slow event also
+#:   reclassifies every window it drops: the executing core's, and that of
+#:   each core holding a line the event touched.  On a 16-core MESI atomic
+#:   shared counter, where every access is a slow event, each event
+#:   reclassified two windows at ~19 µs each, and forced ``batch`` took
+#:   67-78 µs per event (4-32 cores) against the scalar loop's 3.2-3.4 µs.
+#:   Such a stretch must bail, not linger.
 #:
 #: Break-even is therefore ~6 / 1.35, rounded to ``BAIL_HITS_PER_CORE_EVENT``
 #: batched hits per slow event per runnable core.  An interval below it is a
 #: strike, the next interval is a short ``BAIL_PROBE`` one, and
 #: ``BAIL_STRIKES`` consecutive strikes hand the run to the scalar loop (in
 #: conflict-dense stretches a kernel slow event, with the reclassification
-#: it triggers, measured 30-100x a scalar one, so a losing stint must not
+#: it triggers, measured about 20x a scalar one, so a losing stint must not
 #: linger for a full interval).  An interval with fewer batched hits than
 #: slow events bails at once: the kernel loses on every event and, on short
 #: traces, each wasted interval is a measurable fraction of the run.
@@ -183,8 +182,9 @@ BAIL_HITS_PER_CORE_EVENT = 5
 
 #: The very first probation check of a stint fires after this many slow
 #: events instead of a full ``BAIL_INTERVAL``: a stint entering a
-#: conflict-dense stretch (every boundary access paying full mask-repair
-#: cost) should hand off after a handful of events, not sixty-four of them.
+#: conflict-dense stretch (every boundary access paying a window
+#: reclassification) should hand off after a handful of events, not
+#: sixty-four of them.
 BAIL_PROBE = 16
 
 _VALID_MODES = ("auto", "batch", "scalar")
@@ -241,15 +241,12 @@ class _BatchCore:
         "limit",
         "at_barrier",
         "done",
-        "tags",
-        "stale",
         "class_valid",
         "window",
         # -- classified window (mask pipeline; None when absent) --------------
         "win_start",
         "win_len",
         "win_lines",
-        "win_sets",
         "win_kinds",
         "win_states",
         "win_codes",
@@ -258,7 +255,6 @@ class _BatchCore:
         "win_addends",
         "mask",
         "cold_idx",
-        "clean_hi",
         # -- current hit-run ---------------------------------------------------
         "run_off",
         "hot_len",
@@ -270,7 +266,7 @@ class _BatchCore:
         "values",
     )
 
-    def __init__(self, core_id: int, trace_len: int, l1_config) -> None:
+    def __init__(self, core_id: int, trace_len: int) -> None:
         self.core_id = core_id
         self.clock = 0.0
         self.next_index = 0
@@ -279,14 +275,11 @@ class _BatchCore:
         self.limit = trace_len
         self.at_barrier = False
         self.done = False
-        self.tags = TagArray(l1_config)
-        self.stale = True
         self.class_valid = False
         self.window = MIN_WINDOW
         self.win_start = 0
         self.win_len = 0
         self.win_lines = None
-        self.win_sets = None
         self.win_kinds = None
         self.win_states = None
         self.win_codes = None
@@ -295,7 +288,6 @@ class _BatchCore:
         self.win_addends = None
         self.mask = None
         self.cold_idx = None
-        self.clean_hi = 0
         self.run_off = 0
         self.hot_len = 0
         self.applied = 0
@@ -337,7 +329,6 @@ class BatchedKernel:
         "_line_shift",
         "_shift_u64",
         "_l1_num_sets",
-        "_nsets_u64",
         "_core_states",
         "_l1_caches",
         "_track_values",
@@ -383,9 +374,7 @@ class BatchedKernel:
         self.core_stats = [CoreStats(core_id=i) for i in range(n_cores)]
         self.phase_boundaries = workload.phase_boundaries or []
         self.n_phases = len(self.phase_boundaries)
-        self.cores = [
-            _BatchCore(i, len(workload.columns[i]), config.l1d) for i in range(n_cores)
-        ]
+        self.cores = [_BatchCore(i, len(workload.columns[i])) for i in range(n_cores)]
         if resume is not None:
             # Handoff from the cold-start stint (see _run_columnar): the
             # state is exactly what _handoff produces, so the kernel takes
@@ -420,7 +409,6 @@ class BatchedKernel:
         self._line_shift = protocol._line_shift
         self._shift_u64 = np.uint64(self._line_shift)
         self._l1_num_sets = config.l1d.num_sets
-        self._nsets_u64 = np.uint64(self._l1_num_sets)
 
         self._core_states = protocol.core_states
         self._l1_caches = protocol._l1_caches
@@ -436,8 +424,8 @@ class BatchedKernel:
             core.window = self._min_window
 
         # Cross-core invalidation feed: every slow-path _set_state records the
-        # (core, line) it touched, so tag mirrors can be repaired in place and
-        # classifications invalidated precisely.
+        # (core, line) it touched, so only the windows that classify a
+        # touched line are dropped.
         self._touched: set = set()
         protocol.touched_cores = self._touched
 
@@ -459,58 +447,6 @@ class BatchedKernel:
         self._obs = _obs.get_registry()
         self._obs_timing = _obs.timing_registry()
 
-    # ------------------------------------------------------------ tag mirrors
-
-    def _rebuild_tags(self, core: _BatchCore) -> None:
-        """Refill a core's tag mirror from the object L1 (full resync)."""
-        core.tags.clear()
-        # repro-lint: disable=D102(full resync visits each set exactly once; sets are independent so visit order cannot affect the rebuilt mirror)
-        for set_index, cache_set in self._l1_caches[core.core_id]._sets.items():
-            if cache_set:
-                self._refill_set(core, set_index, cache_set)
-        core.stale = False
-
-    def _refill_set(self, core: _BatchCore, set_index: int, cache_set: dict) -> None:
-        """Mirror one L1 set's current membership and states."""
-        core_id = core.core_id
-        tags = core.tags
-        states = self._core_states[core_id]
-        comm_local = self._comm_local
-        protocol = self.protocol
-        state_code = _STATE_CODE
-        tag_row = tags.tags[set_index]
-        state_row = tags.state[set_index]
-        uop_row = tags.uop[set_index]
-        way = 0
-        for line_addr in cache_set:
-            code = state_code[states.get(line_addr)]
-            tag_row[way] = line_addr
-            state_row[way] = code
-            if code == STATE_UPDATE and comm_local:
-                uop_row[way] = protocol.batch_uop_code(core_id, line_addr)
-            else:
-                uop_row[way] = UOP_NONE
-            way += 1
-
-    def _repair_sets(self, core: _BatchCore, set_indices) -> None:
-        """Resync the L1 sets a slow-path action may have rearranged.
-
-        A transaction only moves the executing core's L1 contents in the
-        accessed line's set (fills and their silent L1 victims) and in the
-        sets of lines whose state it changed (evictions, invalidations —
-        all reported via ``touched_cores``), so repairing those sets is a
-        full resync at a fraction of a rebuild's cost.
-        """
-        tags = core.tags
-        line_sets = self._l1_caches[core.core_id]._sets
-        for set_index in set_indices:
-            tags.tags[set_index].fill(TAG_EMPTY)
-            tags.state[set_index].fill(STATE_ABSENT)
-            tags.uop[set_index].fill(UOP_NONE)
-            cache_set = line_sets.get(set_index)
-            if cache_set:
-                self._refill_set(core, set_index, cache_set)
-
     # ---------------------------------------------------------- classification
 
     def _update_limit(self, core: _BatchCore) -> None:
@@ -524,8 +460,6 @@ class BatchedKernel:
 
     def _compute_window(self, core: _BatchCore) -> None:
         """Slice and pre-digest the next window, then evaluate its hot mask."""
-        if core.stale:
-            self._rebuild_tags(core)
         core_id = core.core_id
         start = core.next_index
         width = min(core.window, core.limit - start)
@@ -537,154 +471,69 @@ class BatchedKernel:
         codes = self.codes_col[core_id][start : start + width]
         addrs = self.addrs_col[core_id][start : start + width]
         gaps = self.gaps_col[core_id][start : start + width]
-        lines = addrs >> self._shift_u64
         kinds = CODE_KIND[codes]
         think = gaps * self._cpi
         t = think + self._overhead_by_kind[kinds]
         core.win_codes = codes
         core.win_addrs = addrs
-        core.win_lines = lines
-        core.win_sets = lines % self._nsets_u64
+        core.win_lines = addrs >> self._shift_u64
         core.win_kinds = kinds
         core.win_t = t
         core.win_addends = t + self._l1_hit_total
-        core.win_states = np.empty(width, dtype=np.uint8)
         core.values = None
-        self._eval_mask(core, None)
-        core.clean_hi = width  # the whole window was just evaluated
+        self._eval_mask(core)
 
-    def _eval_mask(self, core: _BatchCore, index: Optional[np.ndarray]) -> None:
-        """(Re)evaluate the window's hot mask, fully or at given positions."""
+    def _eval_mask(self, core: _BatchCore) -> None:
+        """Evaluate the window's hot mask from the object caches.
+
+        Each distinct line of the window is looked up once: its residency
+        in the core's L1, the core's stable state for it and, for a U line
+        under local folding, the op it may buffer
+        (:meth:`MeusiProtocol.batch_uop_code`).  The per-line codes are then
+        scattered back over the window's accesses.
+        """
         obs_timing = self._obs_timing
         if obs_timing is not None:
             _obs_t0 = obs_timing.clock()
-        tags = core.tags
-        if index is None:
-            lines = core.win_lines
-            sets = core.win_sets
-            kinds = core.win_kinds
-            codes = core.win_codes
-        else:
-            lines = core.win_lines[index]
-            sets = core.win_sets[index]
-            kinds = core.win_kinds[index]
-            codes = core.win_codes[index]
-        match = tags.tags[sets] == lines[:, None]
-        member = match.any(axis=1)
-        ways = match.argmax(axis=1)
-        states = np.where(member, tags.state[sets, ways], STATE_ABSENT)
-        uops = (
-            np.where(states == STATE_UPDATE, tags.uop[sets, ways], UOP_NONE)
-            if self._comm_local
-            else None
+        core_id = core.core_id
+        distinct, inverse = np.unique(core.win_lines, return_inverse=True)
+        line_sets = self._l1_caches[core_id]._sets
+        num_sets = self._l1_num_sets
+        state_of = self._core_states[core_id].get
+        state_code = _STATE_CODE
+        line_codes = np.array(
+            [
+                state_code[state_of(line_addr)]
+                if line_addr in line_sets.get(line_addr % num_sets, ())
+                else STATE_ABSENT
+                for line_addr in distinct.tolist()
+            ],
+            dtype=np.uint8,
         )
-        hot = self.protocol.hot_mask(kinds, member, states, uops, CODE_OP_INDEX[codes])
-        if index is None:
-            core.mask = hot
-            core.win_states[:] = states
-        else:
-            core.mask[index] = hot
-            core.win_states[index] = states
-        # Entries behind the cursor are consumed and never re-extracted, so
-        # the cold-position index only needs the unconsumed tail.
-        start = core.next_index - core.win_start
-        if start > 0:
-            core.cold_idx = np.flatnonzero(~core.mask[start:])
-            core.cold_idx += start
-        else:
-            core.cold_idx = np.flatnonzero(~core.mask)
+        states = line_codes[inverse]
+        uops = None
+        if self._comm_local:
+            line_uops = np.full(len(line_codes), UOP_NONE, dtype=np.uint8)
+            batch_uop_code = self.protocol.batch_uop_code
+            for position in np.flatnonzero(line_codes == STATE_UPDATE).tolist():
+                line_uops[position] = batch_uop_code(core_id, int(distinct[position]))
+            uops = line_uops[inverse]
+        core.mask = self.protocol.hot_mask(
+            core.win_kinds,
+            states != STATE_ABSENT,
+            states,
+            uops,
+            CODE_OP_INDEX[core.win_codes],
+        )
+        core.win_states = states
+        core.cold_idx = np.flatnonzero(~core.mask)
         if obs_timing is not None:
             obs_timing.observe("eval_mask", obs_timing.clock() - _obs_t0)
-
-    def _clean_prefix(self, core: _BatchCore, offset: int) -> int:
-        """Re-evaluate stale entries lazily and return the next run's end.
-
-        Slow-path actions do not touch the window mask eagerly — they repair
-        the tag mirror itself (cheap) and lower the core's ``clean_hi``
-        watermark to its cursor, marking everything unconsumed as suspect.
-        Extraction then re-evaluates exactly the suspect entries the next
-        hit-run would consume (including the run-ending entry, which may
-        flip hot — e.g. a line that just gained U permission), advancing the
-        watermark until the run boundary stabilizes.  Each window entry is
-        re-evaluated at most once per disturbance-free stretch before being
-        consumed, so cleaning amortizes to O(1) per access no matter how hot
-        the disturbed lines are in the rest of the window.
-        """
-        cold = core.cold_idx
-        position = int(np.searchsorted(cold, offset))
-        end = int(cold[position]) if position < len(cold) else core.win_len
-        if core.clean_hi >= core.win_len:
-            return end
-        # Exponentially growing chunks: when cleaning flips a chain of
-        # entries hot (a line faulted in since the mask was computed), the
-        # boundary keeps receding, and chunking caps the number of pipeline
-        # invocations at O(log window) while over-cleaning at most as much
-        # as the run it exposes.
-        chunk = 8
-        while True:
-            low = max(core.clean_hi, offset)
-            bound = min(end + 1, core.win_len)
-            if bound <= low:
-                break
-            bound = min(core.win_len, max(bound, low + chunk))
-            self._eval_mask(core, np.arange(low, bound))
-            core.clean_hi = bound
-            chunk *= 2
-            cold = core.cold_idx
-            position = int(np.searchsorted(cold, offset))
-            end = int(cold[position]) if position < len(cold) else core.win_len
-        return end
-
-    def _suspect_mask(self, core: _BatchCore) -> None:
-        """Mark the core's unconsumed window entries as needing re-evaluation.
-
-        Used for the core executing a slow access: it always consumes its
-        next extracted run in full, so the lazy re-evaluation the watermark
-        triggers (:meth:`_clean_prefix`) amortizes to O(1) per access.
-        """
-        if core.mask is not None:
-            core.clean_hi = core.next_index - core.win_start
-
-    def _repair_mask_line(self, core: _BatchCore, line_addr: int) -> None:
-        """Re-evaluate another core's window entries for one touched line.
-
-        Touched cores may be mid-run and consume their windows in small
-        cuts, so the lazy watermark would re-clean the same entries over
-        and over; a targeted repair of just the touched line's occurrences
-        is exact (its mirror way was just repaired) and usually a no-op —
-        most cross-core touches concern lines outside the window.  It also
-        matters for throughput: a MEUSI owner downgraded M->U keeps
-        buffering updates to the line locally, so its entries must flip
-        back to hot.  If the repair lands inside the currently extracted
-        hit-run, the run is re-extracted.
-        """
-        if core.mask is None:
-            return
-        index = np.flatnonzero(core.win_lines == line_addr)
-        if not index.size:
-            return
-        keep = index >= core.clean_hi
-        if keep.any():
-            # Entries past the watermark will be re-evaluated lazily anyway.
-            index = index[~keep]
-            if not index.size:
-                return
-        self._eval_mask(core, index)
-        if core.class_valid and core.applied < core.hot_len:
-            low = core.run_off + core.applied
-            high = core.run_off + core.hot_len
-            if ((index >= low) & (index < high)).any():
-                core.class_valid = False
 
     def _classify(self, core: _BatchCore) -> None:
         """Extract the next hit-run at the core's cursor (mask pipeline)."""
         offset = core.next_index - core.win_start
-        if (
-            core.mask is None
-            or core.next_index < core.win_start
-            or offset >= core.win_len
-            or core.stale
-        ):
+        if core.mask is None or offset >= core.win_len:
             self._compute_window(core)
             offset = 0
             if core.mask is None:  # at the limit: nothing left to classify
@@ -696,13 +545,9 @@ class BatchedKernel:
                 core.class_valid = True
                 return
 
-        obs_timing = self._obs_timing
-        if obs_timing is not None:
-            _obs_t0 = obs_timing.clock()
-            end = self._clean_prefix(core, offset)
-            obs_timing.observe("clean_prefix", obs_timing.clock() - _obs_t0)
-        else:
-            end = self._clean_prefix(core, offset)
+        cold = core.cold_idx
+        position = int(np.searchsorted(cold, offset))
+        end = int(cold[position]) if position < len(cold) else core.win_len
         run = end - offset
         core.run_off = offset
         core.hot_len = run
@@ -880,11 +725,9 @@ class BatchedKernel:
         """Interpret the single access that ended a hit-run.
 
         Retires it through the engine's step (:meth:`CoherenceProtocol.make_step`),
-        then resyncs what the access may have changed: the executing core's
-        L1 set of the accessed line and of its own touched lines (a fill, an
-        L2-hit promotion and its silent victim, E->M, a U line learning
-        its op), way-in-place repairs of other cores' touched lines, and
-        the executing core's unconsumed mask entries.
+        then drops the windows the access may have reclassified: the
+        executing core's, and each other core's whose unconsumed part holds
+        a line the access touched.
         """
         core_id = core.core_id
         index = core.next_index
@@ -896,7 +739,7 @@ class BatchedKernel:
         )
         core.next_index = index + 1
         core.class_valid = False
-        protocol = self.protocol
+        core.mask = None
 
         touched = self._touched
         touched.clear()
@@ -908,43 +751,22 @@ class BatchedKernel:
         )
         if obs_timing is not None:
             obs_timing.observe("resolve_slow", obs_timing.clock() - _obs_t0)
-            _obs_t0 = obs_timing.clock()
 
-        # Repair the mirrors the access may have moved lines in.  The
-        # executing core's L1 only changes in the accessed line's set and in
-        # the sets of its own touched lines (evictions, partial reductions);
-        # other cores only ever *lose* lines or change state on them
-        # (invalidations, downgrades) — all reported via touched_cores as
-        # (core, line) pairs, repaired way-in-place.
-        self_sets = {(address >> self._line_shift) % self._l1_num_sets}
-        if touched:
-            cores = self.cores
-            n_cores = self.n_cores
-            core_states = self._core_states
-            state_code_of = _STATE_CODE
-            for touched_id, touched_line in touched:
-                if touched_id == core_id:
-                    self_sets.add(touched_line % self._l1_num_sets)
-                    continue
-                if touched_id >= n_cores:
-                    continue
-                other = cores[touched_id]
-                if not other.stale:
-                    new_code = state_code_of[core_states[touched_id].get(touched_line)]
-                    uop = UOP_NONE
-                    if new_code == STATE_UPDATE and self._comm_local:
-                        uop = protocol.batch_uop_code(touched_id, touched_line)
-                    other.tags.update_line(touched_line, new_code, uop)
-                    self._repair_mask_line(other, touched_line)
-                else:
-                    other.class_valid = False
-                    other.mask = None
-            touched.clear()
-        if not core.stale:
-            self._repair_sets(core, self_sets)
-            self._suspect_mask(core)
-        if obs_timing is not None:
-            obs_timing.observe("mask_repair", obs_timing.clock() - _obs_t0)
+        # Other cores only ever lose lines or change state on them
+        # (invalidations, downgrades, reductions), each reported via
+        # touched_cores as a (core, line) pair.
+        cores = self.cores
+        n_cores = self.n_cores
+        for touched_id, touched_line in touched:
+            if touched_id == core_id or touched_id >= n_cores:
+                continue
+            other = cores[touched_id]
+            if other.mask is not None and (
+                other.win_lines[other.next_index - other.win_start :] == touched_line
+            ).any():
+                other.mask = None
+                other.class_valid = False
+        touched.clear()
 
     # --------------------------------------------------------------- scheduler
 

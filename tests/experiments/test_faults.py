@@ -61,11 +61,6 @@ class TestFaultDirective:
         assert directive.matches("anything", "at/all", 0)
         assert not directive.matches("anything", "at/all", 1)
 
-    def test_describe_is_compact(self):
-        directive = faults.FaultDirective(kind="kill", point="hist", times=3)
-        assert directive.describe() == "kill:point=hist,times=3"
-        assert faults.FaultDirective(kind="hang").describe() == "hang"
-
 
 class TestFaultPlan:
     def test_should_returns_first_matching_directive(self):

@@ -476,6 +476,19 @@ class TestParallelTraceGeneration:
             cache.get(point.workload, point.n_cores)
         assert cache.disk_loads == len(keys) and cache.disk_stores == 0
 
+    def test_prefetch_leaves_the_shared_cache_alone(self, tmp_path):
+        # The parent never reads a prefetched trace back: holding it would
+        # only raise the parent's memory and that of every later fork.
+        shared = sweep.shared_trace_cache()
+        shared.clear()
+        store_dir = shared.store_dir
+        cache_dir = tmp_path / "cache"
+        argv = ["traffic", "--jobs", "2", "--results-dir", str(tmp_path / "results")]
+        assert runner_main(argv + ["--cache-dir", str(cache_dir)]) == 0
+        assert len(shared) == 0
+        assert shared.store_dir == store_dir
+        assert os.listdir(cache_dir / "traces"), "the prefetch stored no trace"
+
     def test_worker_holds_one_trace_with_a_store(self, tmp_path, monkeypatch):
         # A worker's memory must not depend on which points reached it.
         parent = os.getpid()

@@ -16,15 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.states import StableState
-from repro.hierarchy.cache import (
-    STATE_ABSENT,
-    STATE_EXCLUSIVE,
-    STATE_MODIFIED,
-    STATE_SHARED,
-    TagArray,
-    UOP_NONE,
-)
+from repro.core.commutative import CommutativeOp
 from repro.sim.access import MemoryAccess, WorkloadTrace
 from repro.sim.columnar import CODE_KIND, ColumnarTrace
 from repro.sim.config import small_test_config
@@ -452,52 +444,72 @@ def test_step_issue_timing_matches_the_kernel_for_every_code(protocol):
         ), f"type code {code}"
 
 
-class TestTagArray:
-    """The flat L1 mirror used by the kernel's vectorized classification."""
+class TestWindowDrops:
+    """A boundary access drops exactly the classified windows it may change."""
 
-    def _config(self):
-        return small_test_config(2).l1d
+    @staticmethod
+    def _batch_against_scalar(per_core, protocol, monkeypatch):
+        """Run a trace in the scalar loop and forced-batch; return both
+        results and the kernel's ``(slow_events, hits_batched)``."""
+        import repro.obs as obs
 
-    def test_update_line_downgrades_and_removes(self):
-        tags = TagArray(self._config())
-        tags.fill_way(0x40 % tags.num_sets, 0, 0x40, STATE_EXCLUSIVE, UOP_NONE)
-        assert tags.resident(0x40)
-        tags.update_line(0x40, STATE_SHARED, UOP_NONE)
-        assert tags.resident(0x40)
-        assert tags.state[0x40 % tags.num_sets, 0] == STATE_SHARED
-        tags.update_line(0x40, STATE_ABSENT, UOP_NONE)
-        assert not tags.resident(0x40)
+        trace = WorkloadTrace(name="drops", per_core=per_core)
+        config = small_test_config(len(per_core))
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "scalar")
+        reference = simulate(trace, config, protocol, track_values=True)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "batch")
+        registry = obs.reconfigure("counters")
+        try:
+            result = simulate(trace, config, protocol, track_values=True)
+            counters = registry.snapshot()["counters"]
+        finally:
+            obs.reconfigure()
+        work = (counters["kernel.slow_events"], counters["kernel.hits_batched"])
+        return result.to_jsonable(), reference.to_jsonable(), work
 
-    def test_repair_sets_resyncs_a_set_from_the_object_cache(self):
-        """A repaired set mirrors the L1's current lines and states."""
-        config = small_test_config(2)
-        engine = make_protocol("MESI", config)
-        trace = ColumnarTrace.from_workload(
-            WorkloadTrace(name="empty", per_core=[[MemoryAccess.load(0)], []])
-        )
-        kernel = BatchedKernel(MulticoreSimulator(config, engine), trace)
-        core = kernel.cores[0]
-        num_sets = config.l1d.num_sets
-        first, second, third = num_sets, 2 * num_sets, 3 * num_sets  # set 0
-        l1 = engine.hierarchy.l1[0]
-        for line_addr in (first, second):
-            l1.insert(line_addr)
-        engine.core_states[0][first] = StableState.MODIFIED
-        engine.core_states[0][second] = StableState.SHARED
-        kernel._rebuild_tags(core)
-        # The object cache moves on: one line leaves, another arrives.
-        l1.invalidate(first)
-        l1.insert(third)
-        engine.core_states[0][third] = StableState.EXCLUSIVE
-        assert core.tags.resident(first) and not core.tags.resident(third)
-        kernel._repair_sets(core, {0})
-        assert not core.tags.resident(first)
-        assert core.tags.resident(second) and core.tags.resident(third)
-        states = dict(zip(core.tags.tags[0].tolist(), core.tags.state[0].tolist()))
-        assert states[second] == STATE_SHARED
-        assert states[third] == STATE_EXCLUSIVE
+    def test_invalidation_drops_another_cores_hot_window(self, monkeypatch):
+        """Core 0 classifies 40 hits to line 0; core 1's store then
+        invalidates the line, so core 0's next access must go slow."""
+        per_core = [
+            [MemoryAccess.load(0)] * 41,
+            [MemoryAccess.store(0, 7)],
+        ]
+        batch, scalar, work = self._batch_against_scalar(per_core, "MESI", monkeypatch)
+        assert batch == scalar
+        # Core 0's cold load, core 1's store, core 0's reload; 39 hits.
+        assert work == (3, 39)
 
-    def test_update_absent_line_is_noop(self):
-        tags = TagArray(self._config())
-        tags.update_line(0x99, STATE_MODIFIED, UOP_NONE)  # must not raise
-        assert not tags.resident(0x99)
+    def test_executing_cores_window_is_recomputed(self, monkeypatch):
+        """After each slow access the executing core reclassifies: the
+        line it just filled turns hot, and the line its later misses
+        evict from the two-way set turns slow again."""
+        l1_set_stride = small_test_config(1).l1d.num_sets * 64
+        per_core = [
+            [MemoryAccess.load(0)] * 21
+            + [MemoryAccess.load(l1_set_stride), MemoryAccess.load(2 * l1_set_stride)]
+            + [MemoryAccess.load(0)] * 21
+        ]
+        batch, scalar, work = self._batch_against_scalar(per_core, "MESI", monkeypatch)
+        assert batch == scalar
+        # The two loads of line 0 that miss and the two conflicting loads.
+        assert work == (4, 40)
+
+    def test_reduction_drops_a_buffering_cores_window(self, monkeypatch):
+        """Core 0 buffers its commutative adds to line 0 in U; core 1's
+        load reduces the line, so core 0's next add must go slow."""
+        add = MemoryAccess.commutative(0, CommutativeOp.ADD_I64, 1)
+        per_core = [[add] * 41, [MemoryAccess.load(0, think=5)]]
+        batch, scalar, work = self._batch_against_scalar(per_core, "COUP", monkeypatch)
+        assert batch == scalar
+        # Core 0's first add, core 1's reducing load, core 0's next add.
+        assert work == (3, 39)
+
+    def test_same_op_updater_keeps_a_buffering_cores_window(self, monkeypatch):
+        """A second core joining line 0 in U with the same op reduces
+        nothing, so core 0's U line keeps classifying hot."""
+        add = MemoryAccess.commutative(0, CommutativeOp.ADD_I64, 1)
+        per_core = [[add] * 41, [add]]
+        batch, scalar, work = self._batch_against_scalar(per_core, "COUP", monkeypatch)
+        assert batch == scalar
+        # Each core's first add; core 0's other 40 adds buffer locally.
+        assert work == (2, 40)
