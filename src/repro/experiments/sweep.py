@@ -56,11 +56,7 @@ if TYPE_CHECKING:
 from repro import obs as _obs
 from repro.experiments import settings
 from repro.sim.access import WorkloadTrace
-from repro.sim.columnar import (
-    ACCESS_DTYPE,
-    ColumnarTrace,
-    as_columnar,
-)
+from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import MulticoreSimulator, make_protocol
 from repro.sim.stats import SimulationResult
@@ -90,6 +86,9 @@ class WorkloadSpec:
     a stable trace key from that instance's parameters (see
     :meth:`Workload.trace_key`) so identical traces are generated only once
     per process and shared across protocols and machine configurations.
+    A variant's ``materialize`` callable (privatization) returns the
+    :class:`ColumnarTrace` itself; :meth:`materialize` unpacks it for callers
+    that want the object form.
     """
 
     __slots__ = ("build", "variant", "_materialize")
@@ -99,7 +98,7 @@ class WorkloadSpec:
         build: Callable[[], Workload],
         *,
         variant: Tuple = ("plain",),
-        materialize: Optional[Callable[[Workload, int], WorkloadTrace]] = None,
+        materialize: Optional[Callable[[Workload, int], ColumnarTrace]] = None,
     ) -> None:
         self.build = build
         self.variant = tuple(variant)
@@ -135,25 +134,25 @@ class WorkloadSpec:
         workload = self.build()
         if self._materialize is None:
             return workload.generate(n_cores)
-        return self._materialize(workload, n_cores)
+        return self._materialize(workload, n_cores).to_workload()
 
     def materialize_columnar(self, n_cores: int) -> ColumnarTrace:
         """Generate the packed columnar trace from a fresh workload instance.
 
-        Plain variants use the workload's vectorized columnar builder;
-        variant materializers (privatization) build the object form and pack
-        it — either way the result simulates bit-identically to
-        :meth:`materialize` (pinned by the golden-equivalence suite).
+        Plain variants use the workload's vectorized columnar builder and
+        variant materializers (privatization) build columns directly; either
+        way the result simulates bit-identically to :meth:`materialize`
+        (pinned by the golden-equivalence suite).
         """
         workload = self.build()
         if self._materialize is None:
             return workload.generate_columnar(n_cores)
-        return as_columnar(self._materialize(workload, n_cores))
+        return self._materialize(workload, n_cores)
 
 
 def _materialize_privatized(
     workload: Workload, n_cores: int, *, level: PrivatizationLevel, cores_per_socket: int
-) -> WorkloadTrace:
+) -> ColumnarTrace:
     return workload.generate_privatized(
         n_cores, level=level, cores_per_socket=cores_per_socket
     )

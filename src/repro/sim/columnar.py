@@ -27,7 +27,9 @@ accesses that compare equal (``MemoryAccess.__eq__``) in the original order.
 The simulator runs this form only (an object-form trace is packed on entry),
 and the golden-equivalence suite pins that the object-form builders, packed,
 and the columnar builders produce bit-identical
-:class:`~repro.sim.stats.SimulationResult`s.
+:class:`~repro.sim.stats.SimulationResult`s.  Workloads and the privatization
+builder emit columns directly (:func:`make_columns`); only the SNZI and
+Refcache builders still emit objects, which are packed afterwards.
 
 ``type_code`` layout (104 codes):
 

@@ -10,21 +10,36 @@ phase, at the cost of
 * an ``n_replicas``-fold increase in memory footprint, which pressures the
   shared caches when the reduction variable is large (Sec. 5.3).
 
-This module provides trace builders that turn a logical stream of updates per
-core into the privatized update phase plus reduction phase, so any workload
-with reduction-variable structure (histogram is the paper's example) can be
-expressed in privatized form.
+This module provides a trace builder that turns a logical stream of updates
+per core into the privatized update phase plus reduction phase, as packed
+columns, so any workload with reduction-variable structure (histogram is the
+paper's example) can be expressed in privatized form.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable
+
+import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace
+from repro.sim.access import AccessType
+from repro.sim.columnar import (
+    ACCESS_DTYPE,
+    VK_FLOAT,
+    VK_INT,
+    VK_NONE,
+    code_for,
+    float_deltas,
+    make_columns,
+)
 from repro.workloads.base import AddressMap
+
+#: Every replica and shared-array access is a plain 8-byte load or store.
+_LOAD_CODE = code_for(AccessType.LOAD, None, 8, VK_NONE)
+_STORE_CODE = code_for(AccessType.STORE, None, 8, VK_NONE)
 
 
 class PrivatizationLevel(enum.Enum):
@@ -67,11 +82,11 @@ class PrivatizedReductionPlan:
 
 
 class PrivatizedReductionBuilder:
-    """Builds per-core traces for a privatized reduction variable.
+    """Builds per-core packed columns for a privatized reduction variable.
 
-    The caller supplies, per core, the logical update stream as
-    ``(element_index, value, think_instructions)`` tuples.  The builder
-    produces:
+    The caller supplies, per core, the logical update stream as parallel
+    arrays of element indices, operand values and think counts.  The builder
+    produces :data:`~repro.sim.columnar.ACCESS_DTYPE` arrays for
 
     * an **update phase**, where each core updates its replica —
       with plain load/store pairs for core-level privatization (the replica
@@ -80,6 +95,9 @@ class PrivatizedReductionBuilder:
     * a **reduction phase**, where the elements are partitioned among cores
       and each core folds every replica's value for its elements into the
       shared result array.
+
+    Replica and shared-array regions are allocated lazily, on a core's first
+    non-empty phase, because the address layout depends on allocation order.
     """
 
     def __init__(
@@ -94,8 +112,7 @@ class PrivatizedReductionBuilder:
         self.addresses = addresses
         self.array_name = array_name
         self.replica_of_core = replica_of_core or (lambda core: core)
-        #: Region base address per replica, resolved once (the trace builders
-        #: compute replica addresses in O(n_replicas * n_elements) loops).
+        #: Region base address per replica, resolved once.
         self._replica_bases: dict = {}
         self._shared_base: int = None
 
@@ -108,94 +125,76 @@ class PrivatizedReductionBuilder:
 
     # -- update phase -----------------------------------------------------------
 
-    def update_phase(
-        self, core_id: int, updates: Sequence[Tuple[int, object, int]]
-    ) -> Trace:
-        """Trace of one core's updates applied to its replica."""
-        replica = self.replica_of_core(core_id)
-        trace: Trace = []
-        if not updates:
+    def update_phase(self, core_id: int, elements, values=1, think=0) -> np.ndarray:
+        """Columns of one core's updates applied to its replica.
+
+        ``elements`` is the element index of each update; ``values`` (the
+        atomic operand, socket level only) and ``think`` are per-update arrays
+        or scalars.  At core level each update is a load (``think``
+        instructions after the previous access) and a store (one after it).
+        """
+        elements = np.asarray(elements, dtype=np.uint64)
+        if not len(elements):
             # Keep region allocation lazy: a core with no updates must not
             # allocate its replica region (address layout is order-sensitive).
-            return trace
-        append = trace.append
-        private_replica = self.plan.level is PrivatizationLevel.CORE
-        base = self._replica_base(replica)
-        element_bytes = self.plan.element_bytes
-        op = self.plan.op
-        for element, value, think in updates:
-            address = base + element * element_bytes
-            if private_replica:
-                # Thread-private replica: read-modify-write with plain accesses.
-                append(MemoryAccess(AccessType.LOAD, address, think_instructions=think))
-                append(MemoryAccess(AccessType.STORE, address, think_instructions=1))
+            return np.empty(0, dtype=ACCESS_DTYPE)
+        base = self._replica_base(self.replica_of_core(core_id))
+        addresses = base + elements * self.plan.element_bytes
+        if self.plan.level is PrivatizationLevel.SOCKET:
+            # Socket-shared replica: atomics are still required.
+            op = self.plan.op
+            values = np.broadcast_to(values, elements.shape)
+            if values.dtype.kind == "f":
+                code = code_for(AccessType.ATOMIC_RMW, op, op.word_bytes, VK_FLOAT)
+                deltas = float_deltas(values)
             else:
-                # Socket-shared replica: atomics are still required.
-                append(
-                    MemoryAccess(
-                        AccessType.ATOMIC_RMW,
-                        address,
-                        op=op,
-                        value=value,
-                        think_instructions=think,
-                        size_bytes=op.word_bytes,
-                    )
-                )
-        return trace
+                code = code_for(AccessType.ATOMIC_RMW, op, op.word_bytes, VK_INT)
+                deltas = values
+            return make_columns(code, addresses, deltas, think)
+        # Thread-private replica: read-modify-write with plain accesses.
+        array = np.empty(2 * len(elements), dtype=ACCESS_DTYPE)
+        array["type_code"][0::2] = _LOAD_CODE
+        array["type_code"][1::2] = _STORE_CODE
+        array["address"][0::2] = addresses
+        array["address"][1::2] = addresses
+        array["value_delta"] = 0
+        array["compute_gap"][0::2] = think
+        array["compute_gap"][1::2] = 1
+        array["phase"] = 0
+        return array
 
     # -- reduction phase ---------------------------------------------------------
 
-    def reduction_phase(self, core_id: int, n_cores: int) -> Trace:
-        """Trace of one core's share of the final reduction.
+    def reduction_phase(self, core_id: int, n_cores: int) -> np.ndarray:
+        """Columns of one core's share of the final reduction.
 
-        Elements are block-partitioned among cores; for its elements the core
-        loads every replica's value and stores the combined result into the
-        shared array.  This is the phase whose cost grows with the number of
-        elements and replicas, and which COUP eliminates.
+        Elements are block-partitioned among cores; for each of its elements
+        the core loads every replica's value, then stores the combined result
+        into the shared array.  This is the phase whose cost grows with the
+        number of elements and replicas, and which COUP eliminates.
         """
-        trace: Trace = []
-        append = trace.append
         n_elements = self.plan.n_elements
-        bounds = [
-            (n_elements * i) // n_cores for i in range(n_cores + 1)
-        ]
-        if bounds[core_id] == bounds[core_id + 1]:
+        first = (n_elements * core_id) // n_cores
+        stop = (n_elements * (core_id + 1)) // n_cores
+        if first == stop:
             # No elements for this core: allocate nothing (see update_phase).
-            return trace
-        element_bytes = self.plan.element_bytes
+            return np.empty(0, dtype=ACCESS_DTYPE)
         replica_bases = [
             self._replica_base(replica) for replica in range(self.plan.n_replicas)
         ]
         if self._shared_base is None:
             self._shared_base = self.addresses.region(f"{self.array_name}_shared")
-        shared_base = self._shared_base
-        load_t = AccessType.LOAD
-        store_t = AccessType.STORE
-        # This loop emits n_replicas * n_elements records — the largest trace
-        # in the repository — so records are filled in via __new__ plus slot
-        # stores, skipping constructor-call overhead (the addresses are
-        # derived from validated bases, so the __init__ checks cannot fire).
-        new = MemoryAccess.__new__
-        for element in range(bounds[core_id], bounds[core_id + 1]):
-            offset = element * element_bytes
-            for base in replica_bases:
-                record = new(MemoryAccess)
-                record.access_type = load_t
-                record.address = base + offset
-                record.op = None
-                record.value = None
-                record.think_instructions = 1
-                record.size_bytes = 8
-                append(record)
-            record = new(MemoryAccess)
-            record.access_type = store_t
-            record.address = shared_base + offset
-            record.op = None
-            record.value = None
-            record.think_instructions = 1
-            record.size_bytes = 8
-            append(record)
-        return trace
+        # One row per element: a load from each replica, then the store.
+        bases = np.array(replica_bases + [self._shared_base], dtype=np.uint64)
+        offsets = np.arange(first, stop, dtype=np.uint64) * self.plan.element_bytes
+        codes = np.full(len(bases), _LOAD_CODE, dtype=np.uint8)
+        codes[-1] = _STORE_CODE
+        return make_columns(
+            np.tile(codes, stop - first),
+            (offsets[:, None] + bases[None, :]).ravel(),
+            0,
+            1,
+        )
 
 
 def socket_of_core(cores_per_socket: int) -> Callable[[int], int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
-from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace
+from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, make_columns
 from repro.software.privatization import (
     PrivatizationLevel,
     PrivatizedReductionBuilder,
@@ -177,7 +177,7 @@ class HistogramWorkload(Workload):
         *,
         level: PrivatizationLevel = PrivatizationLevel.CORE,
         cores_per_socket: int = 16,
-    ) -> WorkloadTrace:
+    ) -> ColumnarTrace:
         """Software-privatized histogram with an explicit reduction phase.
 
         Core-level privatization gives each thread its own bin array updated
@@ -185,6 +185,10 @@ class HistogramWorkload(Workload):
         replica per socket, updated with atomics.  After a barrier, bins are
         partitioned among cores and each core folds every replica into the
         shared histogram (Fig. 12's two software schemes).
+
+        Built as packed columns: each core loads its inputs, then applies its
+        updates to its replica, then (after the phase boundary) does its share
+        of the reduction.
         """
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
@@ -210,31 +214,23 @@ class HistogramWorkload(Workload):
         )
 
         input_base = self.addresses.region("hist_input")
-        load_t = AccessType.LOAD
-        think_per_item = self.THINK_PER_ITEM
-        per_core: List[Trace] = []
+        load_code = self._load_code(4)
+        columns: List[np.ndarray] = []
         update_counts: List[int] = []
         for core_id in range(n_cores):
-            updates = []
-            trace: Trace = []
-            for item in partitions[core_id]:
-                trace.append(
-                    MemoryAccess(
-                        load_t,
-                        input_base + item * 4,
-                        think_instructions=think_per_item,
-                        size_bytes=4,
-                    )
-                )
-                updates.append((int(bins[item]), 1, 2))
-            trace.extend(builder.update_phase(core_id, updates))
-            update_counts.append(len(trace))
-            trace.extend(builder.reduction_phase(core_id, n_cores))
-            per_core.append(trace)
+            part = partitions[core_id]
+            items = np.arange(part.start, part.stop, dtype=np.uint64)
+            inputs = make_columns(load_code, input_base + items * 4, 0, self.THINK_PER_ITEM)
+            updates = builder.update_phase(
+                core_id, bins[part.start : part.stop], values=1, think=2
+            )
+            reduction = builder.reduction_phase(core_id, n_cores)
+            update_counts.append(len(inputs) + len(updates))
+            columns.append(np.concatenate((inputs, updates, reduction)))
 
-        return WorkloadTrace(
+        return ColumnarTrace(
             name=f"{self.name}-priv-{level.value}",
-            per_core=per_core,
+            columns=columns,
             params={
                 "n_bins": self.n_bins,
                 "n_items": self.n_items,

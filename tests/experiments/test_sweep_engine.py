@@ -324,7 +324,7 @@ class TestColumnarTraceCache:
 
     def test_unpackable_trace_raises_codec_error(self):
         from repro.sim.access import MemoryAccess, WorkloadTrace
-        from repro.sim.columnar import TraceCodecError
+        from repro.sim.columnar import ColumnarTrace, TraceCodecError
 
         class WeirdWorkload(MultiCounterWorkload):
             def generate_columnar(self, n_cores):
@@ -334,19 +334,26 @@ class TestColumnarTraceCache:
                 trace = [MemoryAccess.store(64, value=("un", "packable"))]
                 return WorkloadTrace(name="weird", per_core=[trace] * n_cores)
 
+        def make():
+            return WeirdWorkload(n_counters=4, updates_per_core=2)
+
         cache = TraceCache()
         spec = WorkloadSpec(
-            lambda: WeirdWorkload(n_counters=4, updates_per_core=2),
-            materialize=lambda workload, n_cores: workload.generate(n_cores),
+            make,
+            materialize=lambda workload, n_cores: ColumnarTrace.from_workload(
+                workload.generate(n_cores)
+            ),
         )
-        # The cache and the simulator hold packed traces only: an operand
-        # the codec cannot represent fails loudly instead of running an
-        # object-form trace.
+        # The cache and the simulator hold packed traces only: a variant
+        # materializer returns columns, so an operand the codec cannot
+        # represent fails loudly while the trace is built and the cache
+        # keeps nothing; the simulator packs an object-form trace on entry
+        # and fails the same way.
         with pytest.raises(TraceCodecError):
             cache.get(spec, 2)
         assert len(cache) == 0
         with pytest.raises(TraceCodecError):
-            simulate(spec.materialize(2), small_test_config(2), "MESI")
+            simulate(make().generate(2), small_test_config(2), "MESI")
 
     def test_store_dir_roundtrips_traces_through_npz(self, tmp_path):
         store = str(tmp_path / "traces")

@@ -25,6 +25,7 @@ import pytest
 from repro.sim.columnar import ColumnarTrace
 from repro.sim.config import small_test_config
 from repro.sim.simulator import simulate
+from repro.software.privatization import PrivatizationLevel
 from repro.workloads.base import UpdateStyle
 from repro.workloads.bfs import BfsWorkload
 from repro.workloads.fluidanimate import FluidanimateWorkload
@@ -76,6 +77,33 @@ def _workload_cases():
     }
 
 
+PRIVATIZED_PROTOCOLS = ("MESI", "COUP")
+
+
+def _privatized_cases():
+    """Software-privatized histograms (Figs. 2 and 12).
+
+    They cover the reduction phase's barrier, core-level plain stores and
+    socket-level atomics.  Each case is ``(n_cores, level, cores_per_socket,
+    workload)``; 16 cores with 8 bins leaves half the cores without a share
+    of the reduction.
+    """
+    return {
+        "hist-priv-core-4c": (
+            4, PrivatizationLevel.CORE, 16, HistogramWorkload(n_bins=64, n_items=400)
+        ),
+        "hist-priv-core-16c": (
+            16, PrivatizationLevel.CORE, 16, HistogramWorkload(n_bins=8, n_items=300)
+        ),
+        "hist-priv-socket-4c": (
+            4, PrivatizationLevel.SOCKET, 2, HistogramWorkload(n_bins=64, n_items=400)
+        ),
+        "hist-priv-socket-16c": (
+            16, PrivatizationLevel.SOCKET, 4, HistogramWorkload(n_bins=32, n_items=300)
+        ),
+    }
+
+
 def _fingerprint(result) -> dict:
     """Exact, JSON-serialisable fingerprint of one simulation run."""
     return {
@@ -118,6 +146,14 @@ def compute_fingerprints() -> dict:
             config = small_test_config(N_CORES)
             result = simulate(trace, config, protocol, track_values=True)
             fingerprints[f"{case_name}/{protocol}"] = _fingerprint(result)
+    for case_name, (n_cores, level, per_socket, workload) in _privatized_cases().items():
+        trace = workload.generate_privatized(
+            n_cores, level=level, cores_per_socket=per_socket
+        )
+        for protocol in PRIVATIZED_PROTOCOLS:
+            config = small_test_config(n_cores)
+            result = simulate(trace, config, protocol, track_values=True)
+            fingerprints[f"{case_name}/{protocol}"] = _fingerprint(result)
     return fingerprints
 
 
@@ -140,6 +176,17 @@ def test_simulation_results_match_golden(case_key, current_fingerprints):
     assert case_key in golden, f"golden data missing {case_key}; regenerate with --regen"
     # Round-trip through JSON so float representation matches the stored file
     # exactly (json preserves doubles bit-for-bit via repr round-tripping).
+    current = json.loads(json.dumps(current_fingerprints[case_key]))
+    assert current == golden[case_key]
+
+
+@pytest.mark.parametrize(
+    "case_key",
+    [f"{case}/{protocol}" for case in _privatized_cases() for protocol in PRIVATIZED_PROTOCOLS],
+)
+def test_privatized_results_match_golden(case_key, current_fingerprints):
+    golden = _load_golden()
+    assert case_key in golden, f"golden data missing {case_key}; regenerate with --regen"
     current = json.loads(json.dumps(current_fingerprints[case_key]))
     assert current == golden[case_key]
 

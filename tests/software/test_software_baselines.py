@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType
+from repro.sim.access import AccessType, MemoryAccess
+from repro.sim.columnar import ACCESS_DTYPE, CODE_ACCESS_TYPE, CODE_OP, pack_accesses
 from repro.software.delegation import DelegationBuilder
 from repro.software.privatization import (
     PrivatizationLevel,
@@ -16,6 +18,11 @@ from repro.software.privatization import (
 from repro.software.refcache import RefcacheConfig, RefcacheThreadCache
 from repro.software.snzi import SnziTree
 from repro.workloads.base import AddressMap
+
+
+def _types(columns):
+    """The access type of each record of a packed column."""
+    return [CODE_ACCESS_TYPE[code] for code in columns["type_code"].tolist()]
 
 
 class TestPrivatization:
@@ -37,33 +44,67 @@ class TestPrivatization:
     def test_core_level_update_phase_uses_plain_accesses(self):
         plan = self._plan(PrivatizationLevel.CORE, 2)
         builder = PrivatizedReductionBuilder(plan, AddressMap())
-        trace = builder.update_phase(0, [(1, 1, 5), (2, 1, 5)])
-        assert {a.access_type for a in trace} == {AccessType.LOAD, AccessType.STORE}
+        columns = builder.update_phase(0, [1, 2], values=1, think=5)
+        assert columns.dtype == ACCESS_DTYPE
+        assert _types(columns) == [AccessType.LOAD, AccessType.STORE] * 2
+        # Each update is a load and a store of the same replica element.
+        assert columns["address"][0] == columns["address"][1]
+        assert columns["compute_gap"].tolist() == [5, 1, 5, 1]
 
     def test_socket_level_update_phase_uses_atomics(self):
         plan = self._plan(PrivatizationLevel.SOCKET, 2)
         builder = PrivatizedReductionBuilder(
             plan, AddressMap(), replica_of_core=socket_of_core(2)
         )
-        trace = builder.update_phase(0, [(1, 1, 5)])
-        assert {a.access_type for a in trace} == {AccessType.ATOMIC_RMW}
+        columns = builder.update_phase(0, [1], values=1, think=5)
+        assert _types(columns) == [AccessType.ATOMIC_RMW]
+        assert CODE_OP[int(columns["type_code"][0])] is CommutativeOp.ADD_I64
+        assert columns["value_delta"].tolist() == [1]
+
+    def test_socket_level_operands_pack_like_objects(self):
+        for op, values in ((CommutativeOp.ADD_I64, [3, -2]), (CommutativeOp.ADD_F64, [0.5, -1.25])):
+            plan = PrivatizedReductionPlan(
+                n_elements=8,
+                element_bytes=8,
+                op=op,
+                level=PrivatizationLevel.SOCKET,
+                n_replicas=1,
+            )
+            builder = PrivatizedReductionBuilder(
+                plan, AddressMap(), replica_of_core=socket_of_core(2)
+            )
+            columns = builder.update_phase(1, [4, 6], values=np.array(values), think=[2, 3])
+            base = builder._replica_base(0)
+            expected = pack_accesses(
+                [
+                    MemoryAccess.atomic(base + 4 * 8, op, values[0], think=2),
+                    MemoryAccess.atomic(base + 6 * 8, op, values[1], think=3),
+                ]
+            )
+            assert np.array_equal(columns, expected)
+
+    def test_empty_update_phase_allocates_no_replica(self):
+        addresses = AddressMap()
+        builder = PrivatizedReductionBuilder(self._plan(PrivatizationLevel.CORE, 2), addresses)
+        assert len(builder.update_phase(0, [])) == 0
+        assert not addresses._regions
 
     def test_replicas_have_disjoint_addresses(self):
         plan = self._plan(PrivatizationLevel.CORE, 2)
         builder = PrivatizedReductionBuilder(plan, AddressMap())
-        core0 = {a.address for a in builder.update_phase(0, [(i, 1, 0) for i in range(8)])}
-        core1 = {a.address for a in builder.update_phase(1, [(i, 1, 0) for i in range(8)])}
+        core0 = set(builder.update_phase(0, range(8))["address"].tolist())
+        core1 = set(builder.update_phase(1, range(8))["address"].tolist())
         assert not core0 & core1
 
     def test_reduction_phase_reads_every_replica(self):
         plan = self._plan(PrivatizationLevel.CORE, 4)
         builder = PrivatizedReductionBuilder(plan, AddressMap())
-        trace = builder.reduction_phase(0, n_cores=4)
-        loads = [a for a in trace if a.access_type is AccessType.LOAD]
-        stores = [a for a in trace if a.access_type is AccessType.STORE]
-        # Core 0 owns 2 of the 8 elements: 2 * 4 replica reads + 2 stores.
-        assert len(loads) == 8
-        assert len(stores) == 2
+        columns = builder.reduction_phase(0, n_cores=4)
+        types = _types(columns)
+        # Core 0 owns 2 of the 8 elements: 2 * 4 replica reads + 2 stores,
+        # each element's replica loads followed by its store.
+        assert types == ([AccessType.LOAD] * 4 + [AccessType.STORE]) * 2
+        assert len(set(columns["address"].tolist())) == 10
 
     def test_socket_of_core(self):
         socket = socket_of_core(16)

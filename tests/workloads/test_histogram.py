@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.sim.access import AccessType
+from repro.sim.columnar import CODE_ACCESS_TYPE, ColumnarTrace
 from repro.sim.config import small_test_config
 from repro.sim.simulator import simulate
 from repro.software.privatization import PrivatizationLevel
@@ -71,17 +73,31 @@ class TestSharedHistogram:
         assert sum(reference.values()) == 500
 
 
+def _access_types(trace):
+    """Every access type present in a columnar trace."""
+    return {
+        CODE_ACCESS_TYPE[code]
+        for column in trace.columns
+        for code in np.unique(column["type_code"]).tolist()
+    }
+
+
 class TestPrivatizedHistogram:
     def test_core_level_has_reduction_phase(self):
         workload = HistogramWorkload(n_bins=64, n_items=400)
         trace = workload.generate_privatized(4, level=PrivatizationLevel.CORE)
+        assert isinstance(trace, ColumnarTrace)
         assert trace.phase_boundaries is not None
         # Reduction phase: for each owned bin, read every replica and write once.
         reduction_accesses = sum(
-            len(t) - boundary
-            for t, boundary in zip(trace.per_core, trace.phase_boundaries[0])
+            len(column) - boundary
+            for column, boundary in zip(trace.columns, trace.phase_boundaries[0])
         )
         assert reduction_accesses == 64 * 4 + 64
+        # The phase column follows the boundaries.
+        for column, boundary in zip(trace.columns, trace.phase_boundaries[0]):
+            assert not column["phase"][:boundary].any()
+            assert (column["phase"][boundary:] == 1).all()
 
     def test_socket_level_uses_fewer_replicas(self):
         workload = HistogramWorkload(n_bins=64, n_items=400)
@@ -96,16 +112,17 @@ class TestPrivatizedHistogram:
     def test_privatized_updates_are_not_atomics_at_core_level(self):
         workload = HistogramWorkload(n_bins=16, n_items=100)
         trace = workload.generate_privatized(2, level=PrivatizationLevel.CORE)
-        types = {a.access_type for t in trace.per_core for a in t}
+        types = _access_types(trace)
         assert AccessType.ATOMIC_RMW not in types
         assert AccessType.COMMUTATIVE_UPDATE not in types
+        assert types == {AccessType.LOAD, AccessType.STORE}
 
     def test_socket_level_uses_atomics_within_socket(self):
         workload = HistogramWorkload(n_bins=16, n_items=100)
         trace = workload.generate_privatized(
             4, level=PrivatizationLevel.SOCKET, cores_per_socket=2
         )
-        types = {a.access_type for t in trace.per_core for a in t}
+        types = _access_types(trace)
         assert AccessType.ATOMIC_RMW in types
 
     def test_runs_under_simulation(self):
