@@ -37,10 +37,10 @@ def main() -> None:
     rows = []
     for name, factory in workloads.items():
         mesi = simulate(
-            factory(UpdateStyle.ATOMIC).generate(n_cores), config, "MESI", track_values=False
+            factory(UpdateStyle.ATOMIC).generate_columnar(n_cores), config, "MESI", track_values=False
         )
         coup = simulate(
-            factory(UpdateStyle.COMMUTATIVE).generate(n_cores), config, "COUP", track_values=False
+            factory(UpdateStyle.COMMUTATIVE).generate_columnar(n_cores), config, "COUP", track_values=False
         )
         rows.append(
             {

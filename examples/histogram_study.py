@@ -31,7 +31,7 @@ def main() -> None:
         coup = simulate(
             HistogramWorkload(
                 n_bins=n_bins, n_items=n_items, update_style=UpdateStyle.COMMUTATIVE
-            ).generate(n_cores),
+            ).generate_columnar(n_cores),
             config,
             "COUP",
             track_values=False,
@@ -39,7 +39,7 @@ def main() -> None:
         atomics = simulate(
             HistogramWorkload(
                 n_bins=n_bins, n_items=n_items, update_style=UpdateStyle.ATOMIC
-            ).generate(n_cores),
+            ).generate_columnar(n_cores),
             config,
             "MESI",
             track_values=False,

@@ -34,7 +34,7 @@ def main() -> None:
         workload = SharedCounterWorkload(
             updates_per_core=updates_per_core, update_style=style
         )
-        trace = workload.generate(n_cores)
+        trace = workload.generate_columnar(n_cores)
         results[protocol] = simulate(trace, config, protocol)
 
     expected = n_cores * updates_per_core

@@ -43,7 +43,7 @@ def immediate(n_cores: int, count_mode: CountMode) -> dict:
             count_mode=count_mode,
         )
         results[scheme.value] = simulate(
-            workload.generate(n_cores), config, protocol, track_values=False
+            workload.generate_columnar(n_cores), config, protocol, track_values=False
         )
     xadd = results["xadd"].run_cycles
     return {
@@ -58,7 +58,7 @@ def delayed(n_cores: int, updates_per_epoch: int) -> dict:
     coup = simulate(
         DelayedRefcountWorkload(
             n_counters=2048, updates_per_epoch=updates_per_epoch, scheme=RefcountScheme.COUP
-        ).generate(n_cores),
+        ).generate_columnar(n_cores),
         config,
         "COUP",
         track_values=False,
@@ -68,7 +68,7 @@ def delayed(n_cores: int, updates_per_epoch: int) -> dict:
             n_counters=2048,
             updates_per_epoch=updates_per_epoch,
             scheme=RefcountScheme.REFCACHE,
-        ).generate(n_cores),
+        ).generate_columnar(n_cores),
         config,
         "MESI",
         track_values=False,

@@ -13,9 +13,9 @@ Quick start::
     from repro.workloads import HistogramWorkload
 
     config = table1_config(n_cores=16)
-    workload = HistogramWorkload(n_bins=512, n_items=20_000).generate(config.n_cores)
-    mesi = simulate(workload, config, protocol="MESI")
-    coup = simulate(workload, config, protocol="COUP")
+    trace = HistogramWorkload(n_bins=512, n_items=20_000).generate_columnar(config.n_cores)
+    mesi = simulate(trace, config, protocol="MESI")
+    coup = simulate(trace, config, protocol="COUP")
     print(coup.speedup_over(mesi))
 """
 

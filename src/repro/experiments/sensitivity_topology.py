@@ -167,7 +167,7 @@ def baseline_matches_legacy(results: Dict[str, List[dict]]) -> None:
         workload = factory(styles[row["protocol"]])
         n_cores = row["n_cores"]
         reference = simulate(
-            workload.generate(n_cores),
+            workload.generate_columnar(n_cores),
             table1_config(n_cores),
             row["protocol"],
             track_values=False,

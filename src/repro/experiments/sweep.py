@@ -86,9 +86,8 @@ class WorkloadSpec:
     a stable trace key from that instance's parameters (see
     :meth:`Workload.trace_key`) so identical traces are generated only once
     per process and shared across protocols and machine configurations.
-    A variant's ``materialize`` callable (privatization) returns the
-    :class:`ColumnarTrace` itself; :meth:`materialize` unpacks it for callers
-    that want the object form.
+    Every variant builds a :class:`ColumnarTrace`; :meth:`materialize`
+    unpacks it for callers that want the object form.
     """
 
     __slots__ = ("build", "variant", "_materialize")
@@ -106,7 +105,7 @@ class WorkloadSpec:
 
     @classmethod
     def plain(cls, build: Callable[[], Workload]) -> "WorkloadSpec":
-        """The ordinary ``workload.generate(n_cores)`` trace."""
+        """The ordinary ``workload.generate_columnar(n_cores)`` trace."""
         return cls(build)
 
     @classmethod
@@ -130,7 +129,7 @@ class WorkloadSpec:
         return (self.build().trace_key(), self.variant, n_cores)
 
     def materialize(self, n_cores: int) -> WorkloadTrace:
-        """Generate the object-form trace from a fresh workload instance."""
+        """The object-form view of the trace :meth:`materialize_columnar` builds."""
         workload = self.build()
         if self._materialize is None:
             return workload.generate(n_cores)
@@ -139,10 +138,8 @@ class WorkloadSpec:
     def materialize_columnar(self, n_cores: int) -> ColumnarTrace:
         """Generate the packed columnar trace from a fresh workload instance.
 
-        Plain variants use the workload's vectorized columnar builder and
-        variant materializers (privatization) build columns directly; either
-        way the result simulates bit-identically to :meth:`materialize`
-        (pinned by the golden-equivalence suite).
+        Plain variants use the workload's builder and variant materializers
+        (privatization) their own.
         """
         workload = self.build()
         if self._materialize is None:

@@ -24,12 +24,12 @@ phase      u4    phase index of the access (derived from the trace's
 
 The converters are exact and order-preserving: ``pack -> unpack`` returns
 accesses that compare equal (``MemoryAccess.__eq__``) in the original order.
-The simulator runs this form only (an object-form trace is packed on entry),
-and the golden-equivalence suite pins that the object-form builders, packed,
-and the columnar builders produce bit-identical
-:class:`~repro.sim.stats.SimulationResult`s.  Workloads and the privatization
-builder emit columns directly (:func:`make_columns`); only the SNZI and
-Refcache builders still emit objects, which are packed afterwards.
+The simulator runs this form only (an object-form trace is packed on entry).
+Every trace builder emits columns directly: the workloads and the
+privatization builder with array operations (:func:`make_columns`), the
+sequential ones (reference counting, SNZI, Refcache) through
+:class:`ColumnBuilder`.  ``Workload.generate`` unpacks a trace to the object
+form for callers that inspect individual accesses.
 
 ``type_code`` layout (104 codes):
 
@@ -341,9 +341,10 @@ class ColumnBuilder:
     """Incremental builder of one core's packed columns.
 
     For generators whose control flow is inherently sequential (RNG draws
-    that depend on earlier draws), building plain int/float lists and packing
-    once at the end is still several times faster than constructing a
-    :class:`MemoryAccess` object per record.
+    that depend on earlier draws, SNZI and Refcache state): :meth:`append`
+    takes a ``type_code`` (see :func:`code_for`), an address, an
+    int64-encoded operand and a think-instruction count, collecting plain
+    int lists that :meth:`build` packs once at the end.
     """
 
     __slots__ = ("codes", "addresses", "deltas", "gaps")
@@ -359,12 +360,6 @@ class ColumnBuilder:
         self.addresses.append(address)
         self.deltas.append(delta)
         self.gaps.append(gap)
-
-    def extend_objects(self, accesses: Sequence[MemoryAccess]) -> None:
-        """Append already-materialized accesses (SNZI/Refcache helpers)."""
-        for access in accesses:
-            code, delta = encode_access(access)
-            self.append(code, access.address, delta, access.think_instructions)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -98,10 +98,9 @@ class MulticoreSimulator:
         """Simulate the workload to completion and return statistics.
 
         Accepts either trace representation: an object-form
-        :class:`WorkloadTrace` (a builder format) is packed on entry, so
-        every run goes through :meth:`_run_columnar`.  The golden-equivalence
-        suite pins object builders, packed, bit-identical to the columnar
-        builders.
+        :class:`WorkloadTrace` (a hand-built trace, or the view
+        ``Workload.generate`` unpacks) is packed on entry, so every run goes
+        through :meth:`_run_columnar`.
         """
         return self._run_columnar(as_columnar(workload))
 

@@ -1,6 +1,5 @@
-"""Software baseline models: privatization, delegation, SNZI, Refcache."""
+"""Software baseline models: privatization, SNZI, Refcache."""
 
-from repro.software.delegation import DelegationBuilder
 from repro.software.privatization import (
     PrivatizationLevel,
     PrivatizedReductionBuilder,
@@ -11,7 +10,6 @@ from repro.software.refcache import RefcacheConfig, RefcacheThreadCache
 from repro.software.snzi import SnziTree
 
 __all__ = [
-    "DelegationBuilder",
     "PrivatizationLevel",
     "PrivatizedReductionBuilder",
     "PrivatizedReductionPlan",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from repro.sim.columnar import (
     float_deltas,
     make_columns,
 )
-from repro.workloads.base import AddressMap
+
+if TYPE_CHECKING:  # workloads import the baselines, not the reverse
+    from repro.workloads.base import AddressMap
 
 #: Every replica and shared-array access is a plain 8-byte load or store.
 _LOAD_CODE = code_for(AccessType.LOAD, None, 8, VK_NONE)

@@ -4,14 +4,18 @@ A workload describes a parallel program at the level the coherence protocol
 cares about: which cores issue which memory accesses (loads, stores, atomics,
 commutative updates) to which addresses, in which order, and with how much
 independent compute between them.  Each workload can be *generated* for any
-core count, producing a :class:`~repro.sim.access.WorkloadTrace`.
+core count, producing a :class:`~repro.sim.columnar.ColumnarTrace`: one
+packed array per core, built directly by the workload's one builder.  The
+object form (:class:`~repro.sim.access.WorkloadTrace`) is a view unpacked
+from it.
 
 Workloads also support *variants* that model the software techniques the
 paper compares against (Sec. 2.2 / Sec. 4): the same logical computation can
 be expressed with conventional atomic operations, with COUP commutative
-updates, with core- or socket-level privatization, or with delegation, and
-the resulting traces differ exactly as the real programs' access streams
-would.
+updates, with remote memory operations, or with core- or socket-level
+privatization, and the resulting traces differ exactly as the real programs'
+access streams would.  The SNZI and Refcache baselines of the
+reference-counting benchmarks live in :mod:`repro.software`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.access import AccessType, MemoryAccess, WorkloadTrace
+from repro.sim.access import AccessType, WorkloadTrace
 from repro.sim.columnar import VK_NONE, ColumnarTrace, code_for, encode_value
 
 
@@ -40,6 +44,13 @@ class UpdateStyle(enum.Enum):
     #: Plain stores (only correct when the data is private to the thread).
     PRIVATE_STORE = "private_store"
 
+
+#: Access type of an update in each shared-data update style.
+_UPDATE_ACCESS_TYPE = {
+    UpdateStyle.ATOMIC: AccessType.ATOMIC_RMW,
+    UpdateStyle.COMMUTATIVE: AccessType.COMMUTATIVE_UPDATE,
+    UpdateStyle.REMOTE: AccessType.REMOTE_UPDATE,
+}
 
 # Address-space layout: each workload's data structures are placed in disjoint
 # regions so synthetic traces never alias accidentally.
@@ -104,11 +115,12 @@ class WorkloadStats:
 class Workload(abc.ABC):
     """Base class for workload generators.
 
-    Subclasses implement :meth:`_build` to emit per-core traces for a given
-    core count.  Generation is deterministic given the constructor parameters
-    and ``seed``, which tests rely on — and which :meth:`trace_key` turns
-    into a stable identity so the sweep engine can materialize each trace
-    once and share it across protocols and machine configurations.
+    Subclasses implement :meth:`_build_columnar`, their one trace builder,
+    which emits packed per-core columns for a given core count.
+    Generation is deterministic given the constructor parameters and
+    ``seed``, which tests rely on — and which :meth:`trace_key` turns into a
+    stable identity so the sweep engine can materialize each trace once and
+    share it across protocols and machine configurations.
     """
 
     #: Short name used in experiment tables (matches the paper's names).
@@ -130,49 +142,22 @@ class Workload(abc.ABC):
     def _rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng((self.seed, stream))
 
-    def make_update(
-        self,
-        address: int,
-        op,
-        value,
-        *,
-        think: int = 0,
-    ) -> MemoryAccess:
-        """Build an update access according to the workload's update style."""
-        if self.update_style is UpdateStyle.ATOMIC:
-            return MemoryAccess.atomic(address, op, value, think=think)
-        if self.update_style is UpdateStyle.COMMUTATIVE:
-            return MemoryAccess.commutative(address, op, value, think=think)
-        if self.update_style is UpdateStyle.REMOTE:
-            return MemoryAccess.remote_update(address, op, value, think=think)
-        return MemoryAccess.store(address, value, think=think)
-
-    def _update_shape(self, op=None):
-        """(access_type, op, size_bytes) triple :meth:`make_update` would use.
-
-        Trace builders with large inner loops resolve the update shape once
-        via this helper and construct :class:`MemoryAccess` records directly,
-        instead of re-dispatching on the update style per element.
-        """
-        op = op if op is not None else getattr(self, "op", None)
-        if self.update_style is UpdateStyle.ATOMIC:
-            return AccessType.ATOMIC_RMW, op, op.word_bytes
-        if self.update_style is UpdateStyle.COMMUTATIVE:
-            return AccessType.COMMUTATIVE_UPDATE, op, op.word_bytes
-        if self.update_style is UpdateStyle.REMOTE:
-            return AccessType.REMOTE_UPDATE, op, op.word_bytes
-        return AccessType.STORE, None, 8
-
     def _update_code(self, value, op=None) -> int:
-        """Packed ``type_code`` of the update :meth:`make_update` would build.
+        """Packed ``type_code`` of an update in the workload's update style.
 
         ``value`` is a representative operand (its int/float kind is folded
-        into the code).  Vectorized trace builders resolve this once per
-        column instead of dispatching on the update style per element.
+        into the code) and ``op`` defaults to the workload's ``op``.  Trace
+        builders resolve this once per column instead of dispatching on the
+        update style per element; a private store carries no op.
         """
-        access_type, update_op, size = self._update_shape(op)
+        op = op if op is not None else getattr(self, "op", None)
+        if self.update_style is UpdateStyle.PRIVATE_STORE:
+            access_type, op, size = AccessType.STORE, None, 8
+        else:
+            access_type = _UPDATE_ACCESS_TYPE[self.update_style]
+            size = op.word_bytes
         value_kind, _delta = encode_value(value)
-        return code_for(access_type, update_op, size, value_kind)
+        return code_for(access_type, op, size, value_kind)
 
     @staticmethod
     def _load_code(size_bytes: int = 8) -> int:
@@ -228,36 +213,14 @@ class Workload(abc.ABC):
     # -- public API --------------------------------------------------------------
 
     @abc.abstractmethod
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        """Emit the per-core traces for ``n_cores`` cores."""
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Emit the packed columnar traces for ``n_cores`` cores.
-
-        Subclasses override this with a vectorized builder that produces the
-        columns directly (same parameters, same RNG draw order — the
-        round-trip suite pins ``_build_columnar(n)`` array-equal to
-        ``ColumnarTrace.from_workload(_build(n))``).  The default packs the
-        object-form trace, which is always correct but not faster.
-        """
-        return ColumnarTrace.from_workload(self._build(n_cores))
-
-    def generate(self, n_cores: int) -> WorkloadTrace:
-        """Generate the workload trace for ``n_cores`` cores."""
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        trace = self._build(n_cores)
-        trace.params.setdefault("update_style", self.update_style.value)
-        trace.params.setdefault("seed", self.seed)
-        trace.validate()
-        return trace
+        """Emit the packed per-core columns for ``n_cores`` cores."""
 
     def generate_columnar(self, n_cores: int) -> ColumnarTrace:
         """Generate the packed columnar trace for ``n_cores`` cores.
 
-        Semantically identical to :meth:`generate` (same accesses, same
-        order, same metadata) in the representation the simulator's columnar
-        fast path and the sweep engine's caches consume natively.
+        This is the form the simulator runs and the sweep engine's caches
+        store.
         """
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
@@ -267,31 +230,25 @@ class Workload(abc.ABC):
         trace.validate()
         return trace
 
-    def stats(self, n_cores: int, trace: Optional[WorkloadTrace] = None) -> WorkloadStats:
+    def generate(self, n_cores: int) -> WorkloadTrace:
+        """The object-form view of :meth:`generate_columnar`'s trace.
+
+        One :class:`~repro.sim.access.MemoryAccess` per record, for callers
+        that inspect individual accesses.
+        """
+        return self.generate_columnar(n_cores).to_workload()
+
+    def stats(self, n_cores: int, trace: Optional[ColumnarTrace] = None) -> WorkloadStats:
         """Static statistics of the generated trace (Table 2).
 
         ``trace`` lets callers that already materialized the trace (e.g.
         through the sweep engine's trace cache) avoid regenerating it; it
-        must be a trace this workload's :meth:`generate` produced for
-        ``n_cores``.
+        must be a trace this workload's :meth:`generate_columnar` produced
+        for ``n_cores``.
         """
         if trace is None:
-            trace = self.generate(n_cores)
-        if isinstance(trace, ColumnarTrace):
-            updates, reads = trace.update_read_counts()
-        else:
-            updates = sum(
-                1
-                for core_trace in trace.per_core
-                for access in core_trace
-                if access.access_type.is_update
-            )
-            reads = sum(
-                1
-                for core_trace in trace.per_core
-                for access in core_trace
-                if not access.access_type.is_update
-            )
+            trace = self.generate_columnar(n_cores)
+        updates, reads = trace.update_read_counts()
         return WorkloadStats(
             name=self.name,
             comm_op=self.comm_op_label,

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace
 from repro.workloads.base import UpdateStyle, Workload
 
@@ -80,60 +79,13 @@ class BfsWorkload(Workload):
 
     # -- trace generation -----------------------------------------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        adjacency = self._adjacency()
-        per_core: List[Trace] = [[] for _ in range(n_cores)]
-        phase_boundaries: List[List[int]] = []
-
-        visited: Set[int] = {0}
-        frontier: List[int] = [0]
-        edge_counter = 0
-
-        for _level in range(self.max_levels):
-            if not frontier:
-                break
-            next_frontier: List[int] = []
-            # The frontier is partitioned among cores round-robin, mirroring
-            # work-stealing BFS implementations.
-            for position, vertex in enumerate(frontier):
-                core_id = position % n_cores
-                trace = per_core[core_id]
-                trace.append(
-                    MemoryAccess.load(self._edge_address(edge_counter), think=self.THINK_PER_VERTEX)
-                )
-                edge_counter += 1
-                for neighbour in adjacency[vertex]:
-                    neighbour = int(neighbour)
-                    word_address = self._bitmap_word_address(neighbour)
-                    # Check the visited bit first (read of the bitmap word).
-                    trace.append(MemoryAccess.load(word_address, think=self.THINK_PER_EDGE))
-                    if neighbour not in visited:
-                        visited.add(neighbour)
-                        next_frontier.append(neighbour)
-                        trace.append(
-                            self.make_update(
-                                word_address, self.op, self._bit_mask(neighbour), think=1
-                            )
-                        )
-            phase_boundaries.append([len(trace) for trace in per_core])
-            frontier = next_frontier
-
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_vertices": self.n_vertices,
-                "avg_degree": self.avg_degree,
-                "max_levels": self.max_levels,
-                "variant": self.update_style.value,
-            },
-            phase_boundaries=phase_boundaries,
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`.
+        """The bitmap access stream of a level-synchronous BFS.
 
-        Each level's access stream is assembled as one flat array in global
+        Per level, the frontier is partitioned among cores round-robin; each
+        frontier vertex issues an edge load, then per neighbour a load of
+        its visited-bitmap word, plus an OR of its bit if it is not yet
+        visited.  Each level's access stream is assembled as one flat array in global
         (frontier-position) order, with the round-robin owner recorded per
         access; per-core columns are boolean selections from the stream,
         which preserves each core's append order exactly.  The visited-set

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, encode_value, make_columns
 from repro.workloads.base import UpdateStyle, Workload
 
@@ -57,74 +56,14 @@ class FluidanimateWorkload(Workload):
     def _cell_address(self, x: int, y: int) -> int:
         return self.addresses.element("fluid_cells", y * self.grid_x + x, 4)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        rows = self.split_work(self.grid_y, n_cores)
-        per_core: List[Trace] = [[] for _ in range(n_cores)]
-        phase_boundaries: List[List[int]] = []
-
-        for _step in range(self.n_steps):
-            # Update phase: accumulate contributions into own and boundary cells.
-            for core_id in range(n_cores):
-                trace = per_core[core_id]
-                own_rows = rows[core_id]
-                if len(own_rows) == 0:
-                    continue
-                for y in own_rows:
-                    for x in range(self.grid_x):
-                        # Interior contribution to the thread's own cell.
-                        trace.append(
-                            self.make_update(
-                                self._cell_address(x, y), self.op, 1.0, think=self.THINK_PER_CELL
-                            )
-                        )
-                # Contributions to the neighbouring threads' boundary rows.
-                for neighbour_row, owner in (
-                    (own_rows.start - 1, core_id - 1),
-                    (own_rows.stop, core_id + 1),
-                ):
-                    if not 0 <= owner < n_cores or not 0 <= neighbour_row < self.grid_y:
-                        continue
-                    for x in range(self.grid_x):
-                        for _ in range(self.updates_per_boundary_cell):
-                            trace.append(
-                                self.make_update(
-                                    self._cell_address(x, neighbour_row),
-                                    self.op,
-                                    0.5,
-                                    think=self.THINK_PER_NEIGHBOUR,
-                                )
-                            )
-            phase_boundaries.append([len(trace) for trace in per_core])
-
-            # Read phase: every thread reads its own cells (integrating state).
-            for core_id in range(n_cores):
-                trace = per_core[core_id]
-                for y in rows[core_id]:
-                    for x in range(self.grid_x):
-                        trace.append(
-                            MemoryAccess.load(self._cell_address(x, y), think=4, size=4)
-                        )
-            phase_boundaries.append([len(trace) for trace in per_core])
-
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "grid_x": self.grid_x,
-                "grid_y": self.grid_y,
-                "n_steps": self.n_steps,
-                "variant": self.update_style.value,
-            },
-            phase_boundaries=phase_boundaries,
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build` (same order, same addresses).
+        """Per step, an update phase and a read phase over each core's slab.
 
         Interior-cell updates are contiguous address ranges, boundary-row
-        updates are ``np.repeat`` of one row's addresses, and the read phase
-        re-walks the interior range — all assembled per (step, core) segment
-        and concatenated in the object builder's append order.
+        updates (``updates_per_boundary_cell`` per cell of each neighbouring
+        thread's edge row) are ``np.repeat`` of one row's addresses, and the
+        read phase re-walks the interior range — all assembled per
+        (step, core) segment and concatenated in program order.
         """
         rows = self.split_work(self.grid_y, n_cores)
         cell_base = self.addresses.region("fluid_cells")

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, make_columns
 from repro.software.privatization import (
     PrivatizationLevel,
@@ -82,56 +81,10 @@ class HistogramWorkload(Workload):
 
     # -- shared-histogram variants (atomics / COUP / RMO) -------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        bins = self._input_bins()
-        partitions = self.split_work(self.n_items, n_cores)
-        # Hoisted out of the per-item loop: region bases (touched in the same
-        # first-use order as the loop would) and the update-access shape that
-        # ``make_update`` would resolve per item.
-        input_base = self.addresses.region("hist_input")
-        bin_base = self.addresses.region("hist_bins")
-        load_t = AccessType.LOAD
-        update_t, update_op, update_size = self._update_shape()
-        think_per_item = self.THINK_PER_ITEM
-        bin_bytes = self.bin_bytes
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            trace: Trace = []
-            append = trace.append
-            for item in partitions[core_id]:
-                append(
-                    MemoryAccess(
-                        load_t,
-                        input_base + item * 4,
-                        think_instructions=think_per_item,
-                        size_bytes=4,
-                    )
-                )
-                append(
-                    MemoryAccess(
-                        update_t,
-                        bin_base + int(bins[item]) * bin_bytes,
-                        op=update_op,
-                        value=1,
-                        think_instructions=2,
-                        size_bytes=update_size,
-                    )
-                )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_bins": self.n_bins,
-                "n_items": self.n_items,
-                "variant": self.update_style.value,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`: columns via array ops.
+        """Shared-histogram variants: columns via array ops.
 
-        Same RNG draws, same region-allocation order, same interleaving —
+        Each core reads its block of the input and updates the input's bin:
         the loads land on even slots and the bin updates on odd slots of
         each core's column.
         """

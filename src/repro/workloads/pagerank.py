@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, VK_NONE, ColumnarTrace, code_for
 from repro.sim.access import AccessType
 from repro.workloads.base import UpdateStyle, Workload
@@ -94,70 +93,13 @@ class PageRankWorkload(Workload):
 
     # -- trace generation --------------------------------------------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        adjacency = self._edges()
-        partitions = self.split_work(self.n_vertices, n_cores)
-        per_core: List[Trace] = [[] for _ in range(n_cores)]
-        phase_boundaries: List[List[int]] = []
-
-        edge_counter = 0
-        for iteration in range(self.n_iterations):
-            read_gen = iteration % 2
-            write_gen = (iteration + 1) % 2
-            # Scatter phase: push contributions to out-neighbours.
-            for core_id in range(n_cores):
-                trace = per_core[core_id]
-                for vertex in partitions[core_id]:
-                    trace.append(
-                        MemoryAccess.load(
-                            self._rank_address(vertex, read_gen), think=self.THINK_PER_VERTEX
-                        )
-                    )
-                    for target in adjacency[vertex]:
-                        trace.append(
-                            MemoryAccess.load(
-                                self._edge_address(edge_counter), think=self.THINK_PER_EDGE
-                            )
-                        )
-                        edge_counter += 1
-                        trace.append(
-                            self.make_update(
-                                self._rank_address(int(target), write_gen), self.op, 1, think=1
-                            )
-                        )
-            phase_boundaries.append([len(trace) for trace in per_core])
-            # Gather phase: each core reads its own vertices' new ranks
-            # (applying damping and writing the value it will push next
-            # iteration); reads of just-updated accumulators force reductions.
-            for core_id in range(n_cores):
-                trace = per_core[core_id]
-                for vertex in partitions[core_id]:
-                    trace.append(
-                        MemoryAccess.load(
-                            self._rank_address(vertex, write_gen), think=self.THINK_PER_VERTEX
-                        )
-                    )
-                    trace.append(
-                        MemoryAccess.store(self._rank_address(vertex, write_gen), None, think=2)
-                    )
-            phase_boundaries.append([len(trace) for trace in per_core])
-
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_vertices": self.n_vertices,
-                "avg_degree": self.avg_degree,
-                "n_iterations": self.n_iterations,
-                "variant": self.update_style.value,
-            },
-            phase_boundaries=phase_boundaries,
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`.
+        """Per iteration, a scatter phase and a gather phase.
 
-        The scatter phase reuses the ``[head, (pair) * degree]`` layout of
+        In the scatter phase each core loads each owned vertex's rank, then
+        per out-edge an edge load and an update of the target's
+        accumulator; in the gather phase it loads and stores each owned
+        vertex's new rank.  The scatter phase reuses the ``[head, (pair) * degree]`` layout of
         :func:`repro.workloads.spmv.interleave_blocks`; the gather phase is
         an even/odd load/store interleave.  The global edge counter becomes
         per-core aranges offset by the partition's cumulative degree and the
@@ -178,8 +120,8 @@ class PageRankWorkload(Workload):
         rank_bases = [None, None]
 
         def rank_base(generation: int) -> int:
-            # Mirrors _rank_address: regions allocated on first use, in the
-            # same order the object builder touches them.
+            # Mirrors _rank_address: regions allocated on first use, in
+            # program order.
             if rank_bases[generation] is None:
                 rank_bases[generation] = self.addresses.region(
                     f"pgrank_rank_{generation}"

@@ -22,12 +22,12 @@ studies:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
+from repro.sim.access import AccessType
 from repro.sim.columnar import VK_INT, VK_UINT, ColumnBuilder, ColumnarTrace, code_for
 from repro.software.refcache import RefcacheThreadCache
 from repro.software.snzi import SnziTree
@@ -88,66 +88,33 @@ class ImmediateRefcountWorkload(Workload):
         self.counter_bytes = counter_bytes
         self.op = CommutativeOp.ADD_I64
 
-    def _counter_address(self, counter: int) -> int:
-        return self.addresses.element("refcount_counters", counter, self.counter_bytes)
-
     def _choose_increment(self, rng: np.random.Generator, held: int) -> bool:
         if self.count_mode is CountMode.LOW:
             return held == 0
         probability = HIGH_COUNT_INCREMENT_PROBABILITY.get(min(held, 5), 0.0)
         return bool(rng.random() < probability)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        snzi_trees: Dict[int, SnziTree] = {}
-        if self.scheme is RefcountScheme.SNZI:
-            snzi_trees = {
-                counter: SnziTree(self.addresses, counter, n_cores)
-                for counter in range(self.n_counters)
-            }
-
-        for core_id in range(n_cores):
-            rng = self._rng(1000 + core_id)
-            held: Dict[int, int] = {}
-            trace: Trace = []
-            for _ in range(self.updates_per_thread):
-                counter = int(rng.integers(0, self.n_counters))
-                references = held.get(counter, 0)
-                increment = self._choose_increment(rng, references)
-                if increment:
-                    held[counter] = references + 1
-                    trace.extend(self._increment(core_id, counter, snzi_trees))
-                else:
-                    held[counter] = max(0, references - 1)
-                    trace.extend(self._decrement_and_read(core_id, counter, snzi_trees))
-            per_core.append(trace)
-
-        return WorkloadTrace(
-            name=f"{self.name}-{self.scheme.value}-{self.count_mode.value}",
-            per_core=per_core,
-            params={
-                "n_counters": self.n_counters,
-                "updates_per_thread": self.updates_per_thread,
-                "scheme": self.scheme.value,
-                "count_mode": self.count_mode.value,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Column-direct twin of :meth:`_build` for the flat-counter schemes.
+        """Each thread's increments and decrement-and-reads, in draw order.
 
         The per-update RNG draws depend on the evolving held-reference state,
-        so the loop stays sequential — but it emits raw column values instead
-        of constructing an object per access.  SNZI trees interleave helper-
-        built sub-traces and fall back to packing the object form.
+        so the loop stays sequential and appends raw column values.  A flat
+        counter takes one update per increment, and an update plus a load per
+        decrement-and-read; under SNZI each counter is a :class:`SnziTree`,
+        whose first node update carries the operation's think time.
         """
-        if self.scheme is RefcountScheme.SNZI:
-            return super()._build_columnar(n_cores)
-        base = self.addresses.region("refcount_counters")
-        update_code = self._update_code(1)
-        load_code = self._load_code(8)
-        counter_bytes = self.counter_bytes
         think = self.THINK_PER_OP
+        snzi_trees = None
+        if self.scheme is RefcountScheme.SNZI:
+            snzi_trees = [
+                SnziTree(self.addresses, counter, n_cores)
+                for counter in range(self.n_counters)
+            ]
+        else:
+            base = self.addresses.region("refcount_counters")
+            update_code = self._update_code(1)
+            load_code = self._load_code(8)
+            counter_bytes = self.counter_bytes
         columns = []
         for core_id in range(n_cores):
             rng = self._rng(1000 + core_id)
@@ -157,14 +124,18 @@ class ImmediateRefcountWorkload(Workload):
             for _ in range(self.updates_per_thread):
                 counter = int(rng.integers(0, self.n_counters))
                 references = held.get(counter, 0)
-                address = base + counter * counter_bytes
-                if self._choose_increment(rng, references):
-                    held[counter] = references + 1
-                    append(update_code, address, 1, think)
+                increment = self._choose_increment(rng, references)
+                held[counter] = references + 1 if increment else max(0, references - 1)
+                if snzi_trees is None:
+                    address = base + counter * counter_bytes
+                    append(update_code, address, 1 if increment else -1, think)
+                    if not increment:
+                        append(load_code, address, 0, 2)
+                elif increment:
+                    snzi_trees[counter].arrive(builder, core_id, think)
                 else:
-                    held[counter] = max(0, references - 1)
-                    append(update_code, address, -1, think)
-                    append(load_code, address, 0, 2)
+                    snzi_trees[counter].depart(builder, core_id, think)
+                    snzi_trees[counter].query(builder, core_id)
             columns.append(builder.build())
         return ColumnarTrace(
             name=f"{self.name}-{self.scheme.value}-{self.count_mode.value}",
@@ -176,37 +147,6 @@ class ImmediateRefcountWorkload(Workload):
                 "count_mode": self.count_mode.value,
             },
         )
-
-    def _increment(
-        self, core_id: int, counter: int, snzi_trees: Dict[int, SnziTree]
-    ) -> Trace:
-        if self.scheme is RefcountScheme.SNZI:
-            trace = snzi_trees[counter].arrive(core_id)
-            trace[0].think_instructions += self.THINK_PER_OP
-            return trace
-        return [
-            self.make_update(self._counter_address(counter), self.op, 1, think=self.THINK_PER_OP)
-        ]
-
-    def _decrement_and_read(
-        self, core_id: int, counter: int, snzi_trees: Dict[int, SnziTree]
-    ) -> Trace:
-        if self.scheme is RefcountScheme.SNZI:
-            trace = snzi_trees[counter].depart(core_id)
-            trace[0].think_instructions += self.THINK_PER_OP
-            trace.extend(snzi_trees[counter].query(core_id))
-            return trace
-        address = self._counter_address(counter)
-        return [
-            self.make_update(address, self.op, -1, think=self.THINK_PER_OP),
-            MemoryAccess.load(address, think=2),
-        ]
-
-    def reference_result(self) -> Optional[Dict[int, object]]:
-        """Expected counter values (flat-counter schemes only)."""
-        if self.scheme is RefcountScheme.SNZI:
-            return None
-        return None  # Values depend on the per-core RNG interleaving of held sets.
 
 
 class DelayedRefcountWorkload(Workload):
@@ -248,66 +188,15 @@ class DelayedRefcountWorkload(Workload):
         word = counter // self.BITS_PER_WORD
         return self.addresses.element("delayed_modified_bitmap", word, 8)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = [[] for _ in range(n_cores)]
-        phase_boundaries: List[List[int]] = []
-        caches = [
-            RefcacheThreadCache(self.addresses, core_id) for core_id in range(n_cores)
-        ]
-        #: Which counters each core marked as modified this epoch (COUP variant).
-        for epoch in range(self.n_epochs):
-            modified_per_core: List[set] = [set() for _ in range(n_cores)]
-            for core_id in range(n_cores):
-                rng = self._rng((epoch + 1) * 10_000 + core_id)
-                trace = per_core[core_id]
-                for _ in range(self.updates_per_epoch):
-                    counter = int(rng.integers(0, self.n_counters))
-                    delta = 1 if rng.random() < 0.5 else -1
-                    if self.scheme is RefcountScheme.COUP:
-                        trace.append(
-                            MemoryAccess.commutative(
-                                self._counter_address(counter), self.op, delta, think=self.THINK_PER_OP
-                            )
-                        )
-                        trace.append(
-                            MemoryAccess.commutative(
-                                self._bitmap_address(counter),
-                                CommutativeOp.OR_64,
-                                1 << (counter % self.BITS_PER_WORD),
-                                think=1,
-                            )
-                        )
-                        modified_per_core[core_id].add(counter)
-                    else:
-                        trace.extend(caches[core_id].update(counter, delta))
-            phase_boundaries.append([len(trace) for trace in per_core])
-
-            # End of epoch: check for zero counters (COUP) or flush deltas
-            # (Refcache), then a second barrier before the next epoch begins.
-            for core_id in range(n_cores):
-                trace = per_core[core_id]
-                if self.scheme is RefcountScheme.COUP:
-                    for counter in sorted(modified_per_core[core_id]):
-                        trace.append(MemoryAccess.load(self._bitmap_address(counter), think=3))
-                        trace.append(MemoryAccess.load(self._counter_address(counter), think=3))
-                else:
-                    trace.extend(caches[core_id].flush(self._counter_address))
-            phase_boundaries.append([len(trace) for trace in per_core])
-
-        return WorkloadTrace(
-            name=f"{self.name}-{self.scheme.value}",
-            per_core=per_core,
-            params={
-                "n_counters": self.n_counters,
-                "updates_per_epoch": self.updates_per_epoch,
-                "n_epochs": self.n_epochs,
-                "scheme": self.scheme.value,
-            },
-            phase_boundaries=phase_boundaries,
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Column-direct twin of :meth:`_build` (same RNG replay order)."""
+        """Per epoch, an update phase and a zero-check (COUP) or flush phase.
+
+        Under COUP each update is a commutative add to the counter plus a
+        commutative OR of its bit in the modified bitmap, and the end of the
+        epoch reads each modified counter's bitmap word and counter; under
+        Refcache each thread updates its :class:`RefcacheThreadCache` and
+        flushes it at the end of the epoch.
+        """
         comm = AccessType.COMMUTATIVE_UPDATE
         add_code = code_for(comm, CommutativeOp.ADD_I64, 8, VK_INT)
         or_code_int = code_for(comm, CommutativeOp.OR_64, 8, VK_INT)
@@ -339,7 +228,7 @@ class DelayedRefcountWorkload(Workload):
                         )
                         modified_per_core[core_id].add(counter)
                     else:
-                        builder.extend_objects(caches[core_id].update(counter, delta))
+                        caches[core_id].update(builder, counter, delta)
             phase_boundaries.append([len(builder) for builder in builders])
 
             for core_id in range(n_cores):
@@ -349,7 +238,7 @@ class DelayedRefcountWorkload(Workload):
                         builder.append(load_code, self._bitmap_address(counter), 0, 3)
                         builder.append(load_code, self._counter_address(counter), 0, 3)
                 else:
-                    builder.extend_objects(caches[core_id].flush(self._counter_address))
+                    caches[core_id].flush(builder, self._counter_address)
             phase_boundaries.append([len(builder) for builder in builders])
 
         return ColumnarTrace(

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import MemoryAccess, Trace, WorkloadTrace
 from repro.sim.columnar import ACCESS_DTYPE, ColumnarTrace, encode_value
 from repro.workloads.base import UpdateStyle, Workload
 
@@ -120,42 +119,12 @@ class SpmvWorkload(Workload):
 
     # -- trace generation ------------------------------------------------------------
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        columns = self._column_rows()
-        partitions = self.split_work(self.n_cols, n_cores)
-        per_core: List[Trace] = []
-        nnz_counter = 0
-        for core_id in range(n_cores):
-            trace: Trace = []
-            for col in partitions[core_id]:
-                # x[col] is read once per column and stays in registers.
-                trace.append(MemoryAccess.load(self._x_address(col), think=4))
-                for row in columns[col]:
-                    trace.append(
-                        MemoryAccess.load(
-                            self._value_address(nnz_counter), think=self.THINK_PER_NNZ
-                        )
-                    )
-                    nnz_counter += 1
-                    trace.append(
-                        self.make_update(self._y_address(row), self.op, 1.0, think=1)
-                    )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_rows": self.n_rows,
-                "n_cols": self.n_cols,
-                "nnz_per_col": self.nnz_per_col,
-                "variant": self.update_style.value,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
-        """Vectorized twin of :meth:`_build`.
+        """Each core walks its block of matrix columns.
 
-        Each column's ``[x-load, (value-load, y-update) * nnz]`` block is
+        x[col] is read once per column and stays in registers; each
+        nonzero is a value load plus a scattered FP add to y[row].  Each
+        column's ``[x-load, (value-load, y-update) * nnz]`` block is
         laid out with :func:`interleave_blocks`; the global nonzero counter
         becomes an arange offset by the partition's cumulative nnz.
         """

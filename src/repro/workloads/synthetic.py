@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.commutative import CommutativeOp
-from repro.sim.access import AccessType, MemoryAccess, Trace, WorkloadTrace
+from repro.sim.access import AccessType
 from repro.sim.columnar import (
     ACCESS_DTYPE,
     VK_INT,
@@ -63,28 +63,6 @@ class SharedCounterWorkload(Workload):
     def counter_address(self) -> int:
         return self.addresses.element("counter", 0, 8)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for _core in range(n_cores):
-            trace = [
-                self.make_update(self.counter_address, self.op, 1, think=self.think)
-                for _ in range(self.updates_per_core)
-            ]
-            per_core.append(trace)
-        boundaries = None
-        if self.read_at_end:
-            boundaries = [[len(trace) for trace in per_core]]
-            per_core[0].append(MemoryAccess.load(self.counter_address, think=2))
-            # The read happens in a second phase so it observes all updates.
-            boundaries[0][0] -= 0
-        workload = WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={"updates_per_core": self.updates_per_core},
-            phase_boundaries=boundaries,
-        )
-        return workload
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         address = self.counter_address
         update_code = self._update_code(1)
@@ -102,6 +80,7 @@ class SharedCounterWorkload(Workload):
                 array["value_delta"][-1] = 0
                 array["compute_gap"][-1] = 2
             columns.append(array)
+        # The read happens in a second phase so it observes all updates.
         boundaries = (
             [[self.updates_per_core] * n_cores] if self.read_at_end else None
         )
@@ -148,30 +127,6 @@ class MultiCounterWorkload(Workload):
     def counter_address(self, index: int) -> int:
         return self.addresses.element("counters", index, 8)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            rng = self._rng(core_id)
-            trace: Trace = []
-            for _ in range(self.updates_per_core):
-                if self.hot_fraction and rng.random() < self.hot_fraction:
-                    index = 0
-                else:
-                    index = int(rng.integers(0, self.n_counters))
-                trace.append(
-                    self.make_update(self.counter_address(index), self.op, 1, think=self.think)
-                )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_counters": self.n_counters,
-                "updates_per_core": self.updates_per_core,
-                "hot_fraction": self.hot_fraction,
-            },
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         base = self.addresses.region("counters")
         update_code = self._update_code(1)
@@ -179,9 +134,8 @@ class MultiCounterWorkload(Workload):
         for core_id in range(n_cores):
             rng = self._rng(core_id)
             if not self.hot_fraction:
-                # Draw order matches the object builder: one bounded-integer
-                # draw per update, which numpy generates identically whether
-                # requested one at a time or as a batch.
+                # One bounded-integer draw per update, which numpy generates
+                # identically whether requested one at a time or as a batch.
                 indices = rng.integers(
                     0, self.n_counters, size=self.updates_per_core
                 ).astype(np.uint64)
@@ -236,20 +190,6 @@ class FalseSharingWorkload(Workload):
         # Eight 8-byte words share each 64-byte line.
         return self.addresses.element("false_sharing", core_id, 8)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            trace = [
-                self.make_update(self.word_address(core_id), self.op, 1, think=self.think)
-                for _ in range(self.updates_per_core)
-            ]
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={"updates_per_core": self.updates_per_core},
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         base = self.addresses.region("false_sharing")
         update_code = self._update_code(1)
@@ -298,27 +238,12 @@ class ScalarReductionWorkload(Workload):
     def _input_address(self, core_id: int, index: int) -> int:
         return self.addresses.element(f"scalar_input_{core_id}", index, 8)
 
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            trace: Trace = [
-                MemoryAccess.load(self._input_address(core_id, i), think=4)
-                for i in range(self.items_per_core)
-            ]
-            trace.append(self.make_update(self.scalar_address, self.op, self.items_per_core, think=2))
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={"items_per_core": self.items_per_core},
-        )
-
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         load_code = self._load_code(8)
         columns: List[np.ndarray] = []
         for core_id in range(n_cores):
-            # Region-allocation order matches the object builder: the core's
-            # input region first, then (on core 0) the shared scalar.
+            # Region-allocation order: the core's input region first, then
+            # (on core 0) the shared scalar.
             input_base = self.addresses.region(f"scalar_input_{core_id}")
             scalar_address = self.scalar_address
             array = np.empty(self.items_per_core + 1, dtype=ACCESS_DTYPE)
@@ -360,23 +285,6 @@ class ReadOnlyWorkload(Workload):
 
     def element_address(self, index: int) -> int:
         return self.addresses.element("readonly_array", index, 8)
-
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            rng = self._rng(core_id)
-            trace = [
-                MemoryAccess.load(
-                    self.element_address(int(rng.integers(0, self.n_elements))), think=3
-                )
-                for _ in range(self.reads_per_core)
-            ]
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={"n_elements": self.n_elements, "reads_per_core": self.reads_per_core},
-        )
 
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         base = self.addresses.region("readonly_array")
@@ -429,28 +337,6 @@ class InterleavedReadUpdateWorkload(Workload):
 
     def element_address(self, index: int) -> int:
         return self.addresses.element("interleaved_array", index, 8)
-
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for core_id in range(n_cores):
-            rng = self._rng(core_id)
-            trace: Trace = []
-            for _round in range(self.rounds):
-                index = int(rng.integers(0, self.n_elements))
-                address = self.element_address(index)
-                for _ in range(self.updates_per_read):
-                    trace.append(self.make_update(address, self.op, 1, think=self.think))
-                trace.append(MemoryAccess.load(address, think=self.think))
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "n_elements": self.n_elements,
-                "updates_per_read": self.updates_per_read,
-                "rounds": self.rounds,
-            },
-        )
 
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         base = self.addresses.region("interleaved_array")
@@ -512,32 +398,6 @@ class MixedOpWorkload(Workload):
     @property
     def or_address(self) -> int:
         return self.addresses.element("mixed", 1, 8)
-
-    def _build(self, n_cores: int) -> WorkloadTrace:
-        per_core: List[Trace] = []
-        for _core in range(n_cores):
-            trace: Trace = []
-            for i in range(self.updates_per_core):
-                use_add = (i // self.switch_every) % 2 == 0
-                if use_add:
-                    trace.append(
-                        MemoryAccess.commutative(self.add_address, CommutativeOp.ADD_I64, 1, think=4)
-                    )
-                else:
-                    trace.append(
-                        MemoryAccess.commutative(
-                            self.or_address, CommutativeOp.OR_64, 1 << (i % 64), think=4
-                        )
-                    )
-            per_core.append(trace)
-        return WorkloadTrace(
-            name=self.name,
-            per_core=per_core,
-            params={
-                "updates_per_core": self.updates_per_core,
-                "switch_every": self.switch_every,
-            },
-        )
 
     def _build_columnar(self, n_cores: int) -> ColumnarTrace:
         add_address = self.add_address

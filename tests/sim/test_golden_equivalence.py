@@ -27,11 +27,7 @@ from repro.sim.config import small_test_config
 from repro.sim.simulator import simulate
 from repro.software.privatization import PrivatizationLevel
 from repro.workloads.base import UpdateStyle
-from repro.workloads.bfs import BfsWorkload
-from repro.workloads.fluidanimate import FluidanimateWorkload
 from repro.workloads.histogram import HistogramWorkload
-from repro.workloads.pagerank import PageRankWorkload
-from repro.workloads.spmv import SpmvWorkload
 from repro.workloads.synthetic import (
     FalseSharingWorkload,
     InterleavedReadUpdateWorkload,
@@ -234,51 +230,6 @@ def test_columnar_simulation_matches_golden(case_key, columnar_fingerprints):
     golden = _load_golden()
     current = json.loads(json.dumps(columnar_fingerprints[case_key]))
     assert current == golden[case_key]
-
-
-#: Paper-benchmark grid pinning the object builders (packed on entry) equal
-#: to the columnar builders per protocol x workload x update style x core
-#: count.
-def _paper_grid_cases():
-    factories = {
-        "hist": lambda style: HistogramWorkload(n_bins=32, n_items=500, update_style=style),
-        "spmv": lambda style: SpmvWorkload(n_rows=64, n_cols=64, nnz_per_col=4, update_style=style),
-        "pgrank": lambda style: PageRankWorkload(
-            n_vertices=72, avg_degree=4, n_iterations=2, update_style=style
-        ),
-        "bfs": lambda style: BfsWorkload(n_vertices=128, avg_degree=5, max_levels=3, update_style=style),
-        "fluidanimate": lambda style: FluidanimateWorkload(
-            grid_x=6, grid_y=16, n_steps=1, update_style=style
-        ),
-    }
-    styles = (UpdateStyle.ATOMIC, UpdateStyle.COMMUTATIVE, UpdateStyle.REMOTE)
-    return [
-        (name, style, n_cores)
-        for name in factories
-        for style in styles
-        for n_cores in (2, 8)
-    ], factories
-
-
-_PAPER_GRID, _PAPER_FACTORIES = _paper_grid_cases()
-
-
-@pytest.mark.parametrize(
-    "workload_name,style,n_cores",
-    _PAPER_GRID,
-    ids=[f"{n}/{s.value}/{c}" for n, s, c in _PAPER_GRID],
-)
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_columnar_equals_object_on_paper_grid(workload_name, style, n_cores, protocol):
-    """The object builder, packed, simulates bit-identically to the columnar one."""
-    factory = _PAPER_FACTORIES[workload_name]
-    object_trace = factory(style).generate(n_cores)
-    columnar_trace = factory(style).generate_columnar(n_cores)
-    config = small_test_config(n_cores)
-    object_result = simulate(object_trace, config, protocol, track_values=True)
-    config = small_test_config(n_cores)
-    columnar_result = simulate(columnar_trace, config, protocol, track_values=True)
-    assert _fingerprint(columnar_result) == _fingerprint(object_result)
 
 
 def main() -> None:

@@ -1,14 +1,23 @@
-"""Tests for the software baseline models: privatization, delegation, SNZI, Refcache."""
+"""Tests for the software baseline models: privatization, SNZI, Refcache."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.commutative import CommutativeOp
 from repro.sim.access import AccessType, MemoryAccess
-from repro.sim.columnar import ACCESS_DTYPE, CODE_ACCESS_TYPE, CODE_OP, pack_accesses
-from repro.software.delegation import DelegationBuilder
+from repro.sim.columnar import (
+    ACCESS_DTYPE,
+    CODE_ACCESS_TYPE,
+    CODE_OP,
+    ColumnBuilder,
+    pack_accesses,
+)
 from repro.software.privatization import (
     PrivatizationLevel,
     PrivatizedReductionBuilder,
@@ -18,6 +27,27 @@ from repro.software.privatization import (
 from repro.software.refcache import RefcacheConfig, RefcacheThreadCache
 from repro.software.snzi import SnziTree
 from repro.workloads.base import AddressMap
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src")
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.software", "repro.software.privatization", "repro.software.snzi"]
+)
+def test_baseline_imports_before_any_workload(module):
+    """The workloads import the baselines, so a baseline imported first
+    must not import the workloads back (a circular import)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def _types(columns):
@@ -113,66 +143,53 @@ class TestPrivatization:
         assert socket(16) == 1
 
 
-class TestDelegation:
-    def test_local_updates_bypass_queues(self):
-        addresses = AddressMap()
-        builder = DelegationBuilder(
-            addresses,
-            n_cores=2,
-            owner_of_element=lambda e: e % 2,
-            element_address=lambda e: addresses.element("data", e, 8),
-        )
-        trace = builder.build([[(0, 1, 2)], []])  # element 0 owned by core 0
-        assert trace.total_accesses == 2  # load + store, no queue traffic
-
-    def test_remote_updates_enqueue_and_drain(self):
-        addresses = AddressMap()
-        builder = DelegationBuilder(
-            addresses,
-            n_cores=2,
-            owner_of_element=lambda e: e % 2,
-            element_address=lambda e: addresses.element("data", e, 8),
-        )
-        trace = builder.build([[(1, 1, 2)], []])  # element 1 owned by core 1
-        assert trace.phase_boundaries is not None
-        # Producer: 2 stores; owner: entry load + element load + store.
-        assert len(trace.per_core[0]) == 2
-        assert len(trace.per_core[1]) == 3
-
-    def test_requires_one_stream_per_core(self):
-        addresses = AddressMap()
-        builder = DelegationBuilder(
-            addresses,
-            n_cores=2,
-            owner_of_element=lambda e: 0,
-            element_address=lambda e: e * 8,
-        )
-        with pytest.raises(ValueError):
-            builder.build([[]])
+def _appended(emit):
+    """The packed columns one SNZI or Refcache operation appends."""
+    builder = ColumnBuilder()
+    emit(builder)
+    return builder.build()
 
 
 class TestSnzi:
     def test_arrive_depart_track_surplus(self):
         tree = SnziTree(AddressMap(), object_id=0, n_threads=4)
-        first = tree.arrive(0)
+        first = _appended(lambda b: tree.arrive(b, 0))
         assert len(first) >= 2  # leaf plus propagation to ancestors
-        second = tree.arrive(0)
+        second = _appended(lambda b: tree.arrive(b, 0))
         assert len(second) == 1  # surplus already positive, no propagation
-        depart = tree.depart(0)
+        depart = _appended(lambda b: tree.depart(b, 0))
         assert len(depart) == 1
-        last = tree.depart(0)
+        last = _appended(lambda b: tree.depart(b, 0))
         assert len(last) >= 2  # surplus hits zero, propagates upward
+        assert set(_types(first)) == {AccessType.ATOMIC_RMW}
+        assert first["value_delta"].tolist() == [1] * len(first)
+        assert last["value_delta"].tolist() == [-1] * len(last)
+
+    def test_propagation_climbs_leaf_to_root(self):
+        tree = SnziTree(AddressMap(), object_id=0, n_threads=8)
+        path = _appended(lambda b: tree.arrive(b, 5))
+        # Eight leaves: leaf, two intermediate levels, root.
+        assert len(path) == 4
+        assert path["address"][-1] == tree._node_address(0)
+        # A sibling's arrival stops where the first one's surplus is held.
+        sibling = _appended(lambda b: tree.arrive(b, 4))
+        assert len(sibling) == 2
+
+    def test_think_precedes_first_node_update(self):
+        tree = SnziTree(AddressMap(), object_id=0, n_threads=4)
+        path = _appended(lambda b: tree.arrive(b, 0, 15))
+        assert path["compute_gap"].tolist() == [19] + [4] * (len(path) - 1)
 
     def test_query_reads_root_only(self):
         tree = SnziTree(AddressMap(), object_id=0, n_threads=8)
-        query = tree.query(3)
-        assert len(query) == 1
-        assert query[0].access_type is AccessType.LOAD
+        query = _appended(lambda b: tree.query(b, 3))
+        assert _types(query) == [AccessType.LOAD]
+        assert query["address"][0] == tree._node_address(0)
 
     def test_threads_use_distinct_leaves(self):
         tree = SnziTree(AddressMap(), object_id=0, n_threads=4)
-        leaf0 = tree.arrive(0)[0].address
-        leaf1 = tree.arrive(1)[0].address
+        leaf0 = _appended(lambda b: tree.arrive(b, 0))["address"][0]
+        leaf1 = _appended(lambda b: tree.arrive(b, 1))["address"][0]
         assert leaf0 != leaf1
 
     def test_footprint_grows_with_threads(self):
@@ -184,26 +201,30 @@ class TestSnzi:
 class TestRefcache:
     def test_update_probes_hash_slot(self):
         cache = RefcacheThreadCache(AddressMap(), thread_id=0)
-        trace = cache.update(counter_id=7, delta=1)
-        assert [a.access_type for a in trace] == [AccessType.LOAD, AccessType.STORE]
+        columns = _appended(lambda b: cache.update(b, counter_id=7, delta=1))
+        assert _types(columns) == [AccessType.LOAD, AccessType.STORE]
+        assert columns["address"][0] == columns["address"][1]
         assert cache.deltas[7] == 1
 
     def test_updates_coalesce_in_cache(self):
         cache = RefcacheThreadCache(AddressMap(), thread_id=0)
-        cache.update(7, 1)
-        cache.update(7, 1)
-        cache.update(7, -1)
+        builder = ColumnBuilder()
+        cache.update(builder, 7, 1)
+        cache.update(builder, 7, 1)
+        cache.update(builder, 7, -1)
         assert cache.deltas[7] == 1
 
-    def test_flush_applies_deltas_with_atomics_and_clears(self):
+    def test_flush_applies_deltas_with_atomics_in_counter_order_and_clears(self):
         addresses = AddressMap()
         cache = RefcacheThreadCache(addresses, thread_id=0)
-        cache.update(1, 1)
-        cache.update(2, -1)
-        flush = cache.flush(lambda c: addresses.element("counters", c, 8))
-        atomics = [a for a in flush if a.access_type is AccessType.ATOMIC_RMW]
-        assert len(atomics) == 2
-        assert {a.value for a in atomics} == {1, -1}
+        builder = ColumnBuilder()
+        cache.update(builder, 2, -1)
+        cache.update(builder, 1, 1)
+        counter = lambda c: addresses.element("counters", c, 8)  # noqa: E731
+        flush = _appended(lambda b: cache.flush(b, counter))
+        assert _types(flush) == [AccessType.LOAD, AccessType.ATOMIC_RMW] * 2
+        assert flush["address"][1::2].tolist() == [counter(1), counter(2)]
+        assert flush["value_delta"][1::2].tolist() == [1, -1]
         assert not cache.deltas
 
     def test_footprint(self):
